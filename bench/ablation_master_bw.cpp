@@ -6,7 +6,8 @@
 
 #include <cstdio>
 
-#include "simulate/simulate.hpp"
+#include "driver/driver.hpp"
+#include "driver/sweep.hpp"
 #include "util/util.hpp"
 
 int main(int argc, char** argv) {
@@ -16,10 +17,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const std::vector<std::string> kinds = {"uncoded", "cr", "bcc"};
-
-  auto base = coupon::simulate::ec2_scenario_one();
-  base.iterations = static_cast<std::size_t>(flags.get_int("iterations"));
+  const auto base = coupon::simulate::ec2_scenario_one();
   const double base_bw = base.cluster.unit_transfer_seconds;
 
   std::printf("Master-ingress bandwidth sweep — %s\n"
@@ -31,7 +29,13 @@ int main(int argc, char** argv) {
   for (double scale : {0.01, 0.1, 0.5, 1.0, 2.0, 10.0}) {
     auto scenario = base;
     scenario.cluster.unit_transfer_seconds = base_bw * scale;
-    const auto rows = coupon::simulate::run_scenario(scenario, kinds);
+    coupon::driver::SweepPlan plan;
+    plan.base = coupon::driver::config_from_sim_scenario(scenario);
+    plan.base.iterations =
+        static_cast<std::size_t>(flags.get_int("iterations"));
+    plan.base.record_trace = false;
+    plan.schemes = {"uncoded", "cr", "bcc"};
+    const auto rows = coupon::driver::run_sweep(plan);
     const bool comm_dominated = rows[0].comm_time > rows[0].compute_time;
     table.add_row(
         {coupon::format_double(scale, 2),
@@ -39,7 +43,7 @@ int main(int argc, char** argv) {
          coupon::format_double(rows[1].total_time, 3),
          coupon::format_double(rows[2].total_time, 3),
          coupon::format_percent(
-             coupon::simulate::speedup_fraction(rows[2], rows[0])),
+             coupon::driver::speedup_fraction(rows[2], rows[0])),
          comm_dominated ? "yes" : "no"});
   }
   std::fputs(table.render().c_str(), stdout);

@@ -8,7 +8,8 @@
 
 #include <cstdio>
 
-#include "simulate/simulate.hpp"
+#include "driver/driver.hpp"
+#include "driver/sweep.hpp"
 #include "util/util.hpp"
 
 int main(int argc, char** argv) {
@@ -45,7 +46,11 @@ int main(int argc, char** argv) {
     kinds.insert(kinds.begin() + 3, "fr");
   }
 
-  const auto rows = coupon::simulate::run_scenario(scenario, kinds);
+  coupon::driver::SweepPlan plan;
+  plan.base = coupon::driver::config_from_sim_scenario(scenario);
+  plan.base.record_trace = false;
+  plan.schemes = kinds;
+  const auto rows = coupon::driver::run_sweep(plan);
 
   std::printf("Scheme comparison — n = %zu workers, m = %zu units, "
               "r = %zu, %zu iterations\n\n",
@@ -58,7 +63,7 @@ int main(int argc, char** argv) {
   const auto& baseline = rows.front();
   for (const auto& row : rows) {
     table.add_row(
-        {row.scheme, coupon::format_double(row.recovery_threshold, 1),
+        {row.scheme_display, coupon::format_double(row.recovery_threshold, 1),
          coupon::format_double(row.mean_units, 1),
          coupon::format_double(row.comm_time, 3),
          coupon::format_double(row.compute_time, 3),
@@ -66,7 +71,7 @@ int main(int argc, char** argv) {
          row.scheme == baseline.scheme
              ? std::string("—")
              : coupon::format_percent(
-                   coupon::simulate::speedup_fraction(row, baseline))});
+                   coupon::driver::speedup_fraction(row, baseline))});
   }
   std::fputs(table.render().c_str(), stdout);
   std::printf("\nReading the table: BCC pairs the near-minimal K of the "

@@ -71,10 +71,16 @@ bool deserialize(const std::vector<std::uint8_t>& bytes, Message& out) {
       !read_raw(bytes, pos, meta_len) || !read_raw(bytes, pos, payload_len)) {
     return false;
   }
-  // Reject length prefixes that overrun the actual buffer before resizing.
-  const std::size_t need = meta_len * sizeof(std::int64_t) +
-                           payload_len * sizeof(double);
-  if (pos + need != bytes.size()) {
+  // Reject length prefixes that do not exactly fill the rest of the
+  // buffer before resizing. Each length is bounded by the remaining bytes
+  // before it is multiplied, so a huge prefix cannot wrap the product.
+  const std::size_t remaining = bytes.size() - pos;
+  if (meta_len > remaining / sizeof(std::int64_t)) {
+    return false;
+  }
+  const std::size_t payload_bytes = remaining - meta_len * sizeof(std::int64_t);
+  if (payload_len > payload_bytes / sizeof(double) ||
+      payload_len * sizeof(double) != payload_bytes) {
     return false;
   }
   m.meta.resize(meta_len);

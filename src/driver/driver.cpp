@@ -23,12 +23,15 @@ ExperimentConfig config_from_sim_scenario(const simulate::ScenarioConfig& s) {
 
 void add_experiment_flags(CliFlags& flags) {
   flags.add_string("scheme", "bcc",
-                   "gradient-coding scheme (" + scheme_choices() +
+                   "gradient-coding scheme (" +
+                       core::SchemeRegistry::instance().choices() +
                        "; 'auto' = let the analytic oracle pick)")
       .add_string("scenario", "shifted_exp",
-                  "straggler scenario (" + scenario_choices() + ")")
+                  "straggler scenario (" +
+                      ScenarioRegistry::instance().choices() + ")")
       .add_string("runtime", "sim",
-                  "execution substrate (" + runtime_choices() + ")")
+                  "execution substrate (" +
+                      RuntimeRegistry::instance().choices() + ")")
       .add_int("workers", 50, "number of workers n")
       .add_int("units", 50, "number of gradient units m")
       .add_int("load", 10, "computational load r, units per worker")

@@ -14,8 +14,8 @@
 
 #include "driver/experiment_config.hpp"
 #include "driver/record.hpp"
-#include "driver/registry.hpp"
 #include "driver/runtime.hpp"
+#include "driver/scenario_registry.hpp"
 #include "simulate/experiment.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"

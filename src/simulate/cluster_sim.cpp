@@ -99,8 +99,7 @@ std::size_t draw_arrivals_into(std::span<Arrival> out,
   return count;
 }
 
-/// Per-worker metadata spans over a flat arena (offsets are global
-/// positions into `flat`, one n+1 window per kernel/cell).
+/// Per-worker metadata spans over the kernel's flat arena.
 struct MetaView {
   std::span<const std::int64_t> flat;
   std::span<const std::size_t> offsets;  ///< n + 1 bounds
@@ -110,18 +109,6 @@ struct MetaView {
                         offsets[worker + 1] - offsets[worker]);
   }
 };
-
-/// Appends `scheme`'s per-worker metadata to the flat arena, pushing one
-/// end bound per worker onto `offsets` (which must already carry the
-/// current start bound — `{0}` for a fresh arena).
-void append_metas(const core::Scheme& scheme, std::vector<std::int64_t>& flat,
-                  std::vector<std::size_t>& offsets) {
-  for (std::size_t i = 0; i < scheme.num_workers(); ++i) {
-    const std::vector<std::int64_t> meta = scheme.message_meta(i);
-    flat.insert(flat.end(), meta.begin(), meta.end());
-    offsets.push_back(flat.size());
-  }
-}
 
 /// The initial sorted-prefix length: the scheme's provable arrival floor
 /// (`min_arrivals_hint`), raised to the expected recovery threshold when
@@ -158,7 +145,9 @@ std::size_t start_prefix_for(const core::Scheme& scheme,
 /// received message is offered to the collector. Completion order equals
 /// arrival-processing order (the link frees monotonically), so a linear
 /// scan replaces the event heap. The scan stops at recovery — exactly
-/// where the historical DES run_until() stopped.
+/// where the historical DES run_until() stopped. (`sorted_arrival`
+/// applies the same geometric extension lazily for the simulated
+/// provider.)
 IterationReport scan_selected(std::span<Arrival> arrivals,
                               std::size_t start_prefix,
                               core::Collector& collector,
@@ -223,9 +212,7 @@ IterationReport scan_selected(std::span<Arrival> arrivals,
   return report;
 }
 
-/// Folds one iteration into a run aggregate (shared by `simulate_run`
-/// and `BatchedKernel::run`, so batched and sequential runs aggregate in
-/// exactly the same operation order).
+/// Folds one iteration into a run aggregate.
 void accumulate(RunReport& run, const IterationReport& it, bool record_trace) {
   run.total_time += it.total_time;
   run.total_compute_time += it.compute_time;
@@ -258,7 +245,11 @@ IterationKernel::IterationKernel(const core::Scheme& scheme,
   }
   meta_offsets_.reserve(n + 1);
   meta_offsets_.push_back(0);
-  append_metas(scheme, meta_flat_, meta_offsets_);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::vector<std::int64_t> meta = scheme.message_meta(i);
+    meta_flat_.insert(meta_flat_.end(), meta.begin(), meta.end());
+    meta_offsets_.push_back(meta_flat_.size());
+  }
   arrivals_.resize(n);
   start_prefix_ = start_prefix_for(scheme, options.threshold_selection);
 }
@@ -352,93 +343,6 @@ RunReport simulate_run(const core::Scheme& scheme,
     accumulate(run, kernel.run(*model, t, rng), options.record_trace);
   }
   return run;
-}
-
-RunReport simulate_run(const core::Scheme& scheme,
-                       const ClusterConfig& config, std::size_t iterations,
-                       stats::Rng& rng) {
-  RunOptions options;
-  options.iterations = iterations;
-  options.record_trace = true;
-  return simulate_run(scheme, config, options, rng);
-}
-
-BatchedKernel::BatchedKernel(std::vector<BatchedCell> cells) {
-  COUPON_ASSERT_MSG(!cells.empty(), "BatchedKernel needs at least one cell");
-  COUPON_ASSERT_MSG(cells.front().scheme != nullptr,
-                    "BatchedCell needs a scheme");
-  num_workers_ = cells.front().scheme->num_workers();
-  const std::size_t n = num_workers_;
-  cells_.reserve(cells.size());
-  arrivals_.resize(cells.size() * n);
-  loads_.resize(cells.size() * n);
-  service_seconds_.resize(cells.size() * n);
-  meta_offsets_.reserve(cells.size() * n + 1);
-  meta_offsets_.push_back(0);
-  for (BatchedCell& cell : cells) {
-    COUPON_ASSERT_MSG(cell.scheme != nullptr && cell.config != nullptr,
-                      "BatchedCell needs a scheme and a cluster config");
-    COUPON_ASSERT_MSG(
-        cell.scheme->num_workers() == n,
-        "BatchedKernel cells must share one worker count, got n="
-            << cell.scheme->num_workers() << " vs " << n);
-    const std::size_t base = cells_.size() * n;
-    const core::Scheme& scheme = *cell.scheme;
-    for (std::size_t i = 0; i < n; ++i) {
-      loads_[base + i] =
-          static_cast<double>(scheme.placement().worker(i).size());
-      service_seconds_[base + i] =
-          scheme.message_units(i) * cell.config->unit_transfer_seconds;
-    }
-    append_metas(scheme, meta_flat_, meta_offsets_);
-
-    CellState state;
-    state.cell = std::move(cell);
-    state.collector = scheme.make_collector();
-    state.model = make_latency_model(*state.cell.config, n);
-    state.start_prefix = start_prefix_for(scheme, /*threshold_selection=*/true);
-    if (state.cell.options.record_trace) {
-      state.report.iterations.reserve(state.cell.options.iterations);
-    }
-    cells_.push_back(std::move(state));
-  }
-}
-
-std::vector<RunReport> BatchedKernel::run() {
-  const std::size_t n = num_workers_;
-  std::size_t max_iterations = 0;
-  for (const CellState& state : cells_) {
-    max_iterations = std::max(max_iterations, state.cell.options.iterations);
-  }
-  // Lockstep, iteration-major: one pass streams every cell's arena row
-  // once, so the batch shares RNG/model/sort code paths (and their
-  // instruction cache) across cells instead of alternating whole runs.
-  // Per-cell RNG, model, and collector state make the interleaving
-  // invisible: every cell sees exactly the sequence simulate_run gives.
-  for (std::size_t t = 0; t < max_iterations; ++t) {
-    for (std::size_t c = 0; c < cells_.size(); ++c) {
-      CellState& state = cells_[c];
-      if (t >= state.cell.options.iterations) {
-        continue;  // this cell's run already finished
-      }
-      state.collector->reset();
-      const std::span<Arrival> row{arrivals_.data() + c * n, n};
-      const std::size_t count = draw_arrivals_into(
-          row, {loads_.data() + c * n, n}, *state.cell.config, *state.model, t,
-          state.cell.rng);
-      const IterationReport it = scan_selected(
-          row.first(count), state.start_prefix, *state.collector,
-          {service_seconds_.data() + c * n, n},
-          MetaView{meta_flat_, {meta_offsets_.data() + c * n, n + 1}});
-      accumulate(state.report, it, state.cell.options.record_trace);
-    }
-  }
-  std::vector<RunReport> reports;
-  reports.reserve(cells_.size());
-  for (CellState& state : cells_) {
-    reports.push_back(std::move(state.report));
-  }
-  return reports;
 }
 
 }  // namespace coupon::simulate

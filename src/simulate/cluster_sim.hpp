@@ -29,12 +29,12 @@
 /// before the iteration ended; communication time is the remainder.
 ///
 /// Execution: iterations run on the allocation-free `IterationKernel`, a
-/// typed sort-based engine that draws compute times in the historical
-/// event-loop RNG order and resolves the serialized FIFO ingress by an
-/// arrival-sorted scan — provably trace-equivalent to the old
-/// `EventQueue`-based loop (equivalence argument in DESIGN.md §7, pinned
-/// byte-for-byte by tests/golden/sweep_2x2.jsonl) but with zero
-/// steady-state heap allocations per iteration.
+/// typed sort-based engine that draws compute times in worker order and
+/// resolves the serialized FIFO ingress by an arrival-sorted scan — the
+/// same trace as a discrete-event loop over (time, scheduling-seq) events
+/// (equivalence argument in DESIGN.md §7, pinned byte-for-byte by
+/// tests/golden/sweep_2x2.jsonl) with zero steady-state heap allocations
+/// per iteration.
 ///
 /// Large-n scaling (n = 10^5..10^6, ROADMAP's million-worker regime):
 /// recovery needs only the earliest K arrivals (K ≈ n - r + 1 for the
@@ -43,10 +43,8 @@
 /// (`std::nth_element` + prefix sort) and extends the sorted prefix
 /// geometrically when drops or coverage failure push recovery past it —
 /// bit-identical to the full sort because arrival keys (time, worker)
-/// are unique (DESIGN.md §7.4). `BatchedKernel` additionally carries
-/// many same-n cells (different schemes/seeds) through one lockstep
-/// draw+selection pass over flat per-cell arenas, which is how sweep
-/// grids amortize RNG and memory traffic (driver/sweep.hpp wires it in).
+/// are unique (DESIGN.md §7.4). Sweep grids get their parallelism from
+/// running independent cells on a thread pool (driver/sweep.hpp).
 
 #include <cstddef>
 #include <memory>
@@ -55,7 +53,6 @@
 
 #include "core/scheme.hpp"
 #include "simulate/cluster_config.hpp"
-#include "simulate/event_queue.hpp"
 #include "simulate/iteration_report.hpp"
 #include "simulate/latency_model.hpp"
 #include "stats/rng.hpp"
@@ -66,8 +63,7 @@ namespace coupon::simulate {
 /// Aggregates over a multi-iteration run.
 struct RunReport {
   /// Per-iteration reports — populated only when the run was executed
-  /// with `RunOptions::record_trace` (the legacy iteration-count overload
-  /// of `simulate_run` records it for back-compat).
+  /// with `RunOptions::record_trace`.
   std::vector<IterationReport> iterations;
   double total_time = 0.0;
   double total_compute_time = 0.0;
@@ -88,8 +84,7 @@ struct RunOptions {
   bool record_trace = false;
 };
 
-/// Tuning knobs for `IterationKernel` (and, implicitly, `BatchedKernel`,
-/// which always selects).
+/// Tuning knobs for `IterationKernel`.
 struct KernelOptions {
   /// Sort only the scheme's minimum-arrivals prefix up front and extend
   /// it geometrically on demand (DESIGN.md §7.4) instead of fully
@@ -232,68 +227,5 @@ IterationReport simulate_iteration(const core::Scheme& scheme,
 /// `options.record_trace` is set.
 RunReport simulate_run(const core::Scheme& scheme, const ClusterConfig& config,
                        const RunOptions& options, stats::Rng& rng);
-
-/// Back-compat overload: `iterations` iterations WITH the per-iteration
-/// trace recorded (the historical behaviour of this signature).
-RunReport simulate_run(const core::Scheme& scheme, const ClusterConfig& config,
-                       std::size_t iterations, stats::Rng& rng);
-
-/// One cell of a `BatchedKernel` run: a (scheme, cluster, RNG stream)
-/// tuple positioned exactly where `simulate_run` would start drawing —
-/// i.e. `rng` is a copy of the caller's generator *after* scheme
-/// construction consumed its share. `scheme` and `config` must outlive
-/// the kernel; all cells must share one worker count n.
-struct BatchedCell {
-  const core::Scheme* scheme = nullptr;
-  const ClusterConfig* config = nullptr;
-  stats::Rng rng{0};
-  RunOptions options;
-};
-
-/// Structure-of-arrays batch engine: carries many same-n sweep cells
-/// (different schemes/seeds/latency models) through one lockstep
-/// draw+selection pass per iteration (DESIGN.md §7.5). All per-cell
-/// scratch lives in flat C x n arenas carved at construction — arrival
-/// rows, service times, loads, metadata — so the steady-state loop
-/// performs zero heap allocations (traces off) and a fig2-style grid
-/// walks memory sequentially instead of bouncing between C kernels.
-///
-/// Determinism: each cell owns its RNG stream, latency model, and
-/// collector, so interleaving cells within an iteration cannot perturb
-/// any cell's draws — `run()` is bit-identical to running every cell
-/// through its own `IterationKernel` via `simulate_run`, in any order.
-class BatchedKernel {
- public:
-  /// Validates the batch (non-empty, uniform n) and builds the arenas,
-  /// per-cell collectors, and latency models. Threshold selection is
-  /// always on (it is bit-identical to the full sort).
-  explicit BatchedKernel(std::vector<BatchedCell> cells);
-
-  std::size_t num_cells() const { return cells_.size(); }
-
-  /// Runs every cell's iterations in lockstep (iteration-major, cell-
-  /// minor) and returns one `RunReport` per cell, in cell order. One-
-  /// shot: each call continues the cells' RNG/model state, so call it
-  /// once per kernel for `simulate_run`-equivalent results.
-  std::vector<RunReport> run();
-
- private:
-  struct CellState {
-    BatchedCell cell;
-    std::unique_ptr<core::Collector> collector;
-    std::unique_ptr<LatencyModel> model;
-    std::size_t start_prefix = 0;
-    RunReport report;
-  };
-
-  std::size_t num_workers_ = 0;
-  std::vector<CellState> cells_;
-  /// Flat C x n arenas; cell c's row occupies [c * n, (c + 1) * n).
-  std::vector<IterationKernel::Arrival> arrivals_;
-  std::vector<double> loads_;
-  std::vector<double> service_seconds_;
-  std::vector<std::int64_t> meta_flat_;    ///< all cells' metadata
-  std::vector<std::size_t> meta_offsets_;  ///< C x n + 1 bounds
-};
 
 }  // namespace coupon::simulate

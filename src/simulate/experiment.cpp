@@ -2,8 +2,6 @@
 
 #include <ostream>
 
-#include "core/scheme_registry.hpp"
-#include "util/assert.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
 
@@ -40,51 +38,6 @@ ScenarioConfig ec2_scenario_two() {
   s.cluster = ec2_cluster();
   s.seed = 0xEC2002;
   return s;
-}
-
-std::vector<SchemeRunRow> run_scenario(
-    const ScenarioConfig& scenario,
-    const std::vector<std::string>& scheme_names) {
-  COUPON_ASSERT(!scheme_names.empty());
-  std::vector<SchemeRunRow> rows;
-  rows.reserve(scheme_names.size());
-
-  stats::Rng root(scenario.seed);
-  for (const std::string& name : scheme_names) {
-    stats::Rng rng = root.split();  // disjoint stream per scheme
-
-    core::SchemeConfig config;
-    config.num_workers = scenario.num_workers;
-    config.num_units = scenario.num_units;
-    config.load = scenario.load;
-    auto scheme = core::SchemeRegistry::instance().create(name, config, rng);
-
-    // Summary-only harness: the rows below read aggregates, never the
-    // per-iteration trace, so run without recording one.
-    RunOptions options;
-    options.iterations = scenario.iterations;
-    options.record_trace = false;
-    const RunReport run =
-        simulate_run(*scheme, scenario.cluster, options, rng);
-
-    SchemeRunRow row;
-    row.scheme_name = std::string(scheme->registry_name());
-    row.scheme = std::string(scheme->name());
-    row.recovery_threshold = run.workers_heard.mean();
-    row.comm_time = run.total_comm_time;
-    row.compute_time = run.total_compute_time;
-    row.total_time = run.total_time;
-    row.mean_units = run.units_received.mean();
-    row.failures = run.failures;
-    rows.push_back(std::move(row));
-  }
-  return rows;
-}
-
-double speedup_fraction(const SchemeRunRow& ours,
-                        const SchemeRunRow& baseline) {
-  COUPON_ASSERT(baseline.total_time > 0.0);
-  return 1.0 - ours.total_time / baseline.total_time;
 }
 
 const std::vector<std::string>& iteration_csv_header() {

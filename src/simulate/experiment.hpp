@@ -1,10 +1,10 @@
 #pragma once
 
 /// \file experiment.hpp
-/// Scenario harness reproducing the paper's EC2 experiments (Section
-/// III-C): run several schemes over the same simulated cluster and report
-/// Table I/II-style rows (recovery threshold, communication time,
-/// computation time, total running time).
+/// The paper's EC2 experiment scenarios (Section III-C) and the
+/// per-iteration trace CSV schema. The driver runs the scenarios
+/// (driver::config_from_sim_scenario + driver::run_experiment) and
+/// renders Table I/II-style rows (driver::summary_table).
 ///
 /// Calibration: the cluster constants below were chosen so that the
 /// simulated per-message ingress time and per-unit compute time land in
@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "core/scheme.hpp"
 #include "simulate/cluster_sim.hpp"
 
 namespace coupon::simulate {
@@ -45,30 +44,6 @@ ScenarioConfig ec2_scenario_one();
 
 /// Scenario two of the paper: n = 100 workers, m = 100 data batches.
 ScenarioConfig ec2_scenario_two();
-
-/// One Table I/II row.
-struct SchemeRunRow {
-  std::string scheme_name;  ///< SchemeRegistry name, e.g. "bcc"
-  std::string scheme;       ///< display name, e.g. "BCC"
-  double recovery_threshold = 0.0;  ///< mean workers heard per iteration
-  double comm_time = 0.0;           ///< total over the run, seconds
-  double compute_time = 0.0;        ///< total over the run, seconds
-  double total_time = 0.0;          ///< total running time, seconds
-  double mean_units = 0.0;          ///< mean communication load L
-  std::size_t failures = 0;         ///< unrecovered iterations
-};
-
-/// Runs each scheme (by `core::SchemeRegistry` name) through the
-/// scenario (fresh deterministic RNG stream per scheme, placement drawn
-/// once per run as in the paper's setup) and returns one row per scheme,
-/// in input order.
-std::vector<SchemeRunRow> run_scenario(const ScenarioConfig& scenario,
-                                       const std::vector<std::string>&
-                                           scheme_names);
-
-/// Percentage speedup of `ours` over `baseline` in total running time
-/// (e.g. 0.854 means 85.4% faster, the paper's headline comparison).
-double speedup_fraction(const SchemeRunRow& ours, const SchemeRunRow& baseline);
 
 /// Column names of the per-iteration trace CSV: iteration,total_time,
 /// compute_time,comm_time,workers_heard,units_received,recovered. Shared

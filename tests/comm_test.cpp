@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <thread>
 
 #include "comm/comm.hpp"
@@ -94,6 +95,25 @@ TEST(Serialization, RejectsTrailingGarbage) {
   bytes.push_back(0);
   Message out;
   EXPECT_FALSE(deserialize(bytes, out));
+}
+
+TEST(Serialization, RejectsLengthPrefixWhoseByteCountWraps) {
+  // 2^61 elements of 8 bytes is 2^64 bytes, which wraps to 0 in size_t:
+  // an empty body would "fit" and the resize would throw. Each length
+  // must be rejected by a plain false, for meta and payload alike.
+  constexpr std::size_t kMetaLenOffset = 4 * sizeof(std::int32_t) +
+                                         sizeof(std::int64_t);
+  constexpr std::uint64_t kWrapping = std::uint64_t{1} << 61;
+  for (std::size_t offset :
+       {kMetaLenOffset, kMetaLenOffset + sizeof(std::uint64_t)}) {
+    auto bytes = serialize(Message{});
+    ASSERT_EQ(bytes.size(), kMetaLenOffset + 2 * sizeof(std::uint64_t));
+    std::memcpy(bytes.data() + offset, &kWrapping, sizeof(kWrapping));
+    Message out;
+    bool accepted = true;
+    EXPECT_NO_THROW(accepted = deserialize(bytes, out)) << offset;
+    EXPECT_FALSE(accepted) << offset;
+  }
 }
 
 TEST(Serialization, FailedParseLeavesOutputUntouched) {

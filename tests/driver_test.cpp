@@ -10,25 +10,28 @@
 #include <stdexcept>
 
 #include "driver/driver.hpp"
+#include "driver/runtime_registry.hpp"
 #include "simulate/experiment.hpp"
 
 namespace driver = coupon::driver;
 
 TEST(ScenarioRegistry, EveryListedScenarioIsConstructible) {
-  for (const auto& name : driver::scenario_names()) {
-    const auto* entry = driver::ScenarioRegistry::instance().find(name);
+  const auto& registry = driver::ScenarioRegistry::instance();
+  for (const auto& name : registry.names()) {
+    const auto* entry = registry.find(name);
     ASSERT_NE(entry, nullptr) << name;
     if (!entry->builder) {
       // Parameterized-only entries (trace:<path>) need an argument.
-      EXPECT_FALSE(driver::make_scenario(name, 40).has_value()) << name;
+      EXPECT_EQ(registry.resolve(name), nullptr) << name;
+      EXPECT_THROW(registry.build(name, 40), std::invalid_argument) << name;
       continue;
     }
-    const auto scenario = driver::make_scenario(name, 40);
-    ASSERT_TRUE(scenario.has_value()) << name;
-    EXPECT_EQ(scenario->name, name);
-    EXPECT_FALSE(scenario->description.empty());
+    ASSERT_NE(registry.resolve(name), nullptr) << name;
+    const auto scenario = registry.build(name, 40);
+    EXPECT_EQ(scenario.name, name);
+    EXPECT_FALSE(scenario.description.empty());
   }
-  EXPECT_FALSE(driver::make_scenario("bogus", 40).has_value());
+  EXPECT_EQ(registry.resolve("bogus"), nullptr);
 }
 
 TEST(ScenarioRegistry, BuildThrowsOnUnknownNameListingChoices) {
@@ -180,45 +183,44 @@ TEST(ScenarioRegistry, RegisteredScenarioIsRunnable) {
 }
 
 TEST(ScenarioRegistry, ShiftedExpMatchesEc2Calibration) {
-  const auto scenario = driver::make_scenario("shifted_exp", 50);
-  ASSERT_TRUE(scenario.has_value());
+  const auto scenario =
+      driver::ScenarioRegistry::instance().build("shifted_exp", 50);
   const auto ec2 = coupon::simulate::ec2_cluster();
-  EXPECT_DOUBLE_EQ(scenario->cluster.compute_shift, ec2.compute_shift);
-  EXPECT_DOUBLE_EQ(scenario->cluster.compute_straggle, ec2.compute_straggle);
-  EXPECT_DOUBLE_EQ(scenario->cluster.unit_transfer_seconds,
+  EXPECT_DOUBLE_EQ(scenario.cluster.compute_shift, ec2.compute_shift);
+  EXPECT_DOUBLE_EQ(scenario.cluster.compute_straggle, ec2.compute_straggle);
+  EXPECT_DOUBLE_EQ(scenario.cluster.unit_transfer_seconds,
                    ec2.unit_transfer_seconds);
 }
 
 TEST(ScenarioRegistry, HeteroScenarioBuildsPerWorkerOverrides) {
   const std::size_t n = 40;
-  const auto scenario = driver::make_scenario("hetero", n);
-  ASSERT_TRUE(scenario.has_value());
-  ASSERT_EQ(scenario->cluster.worker_overrides.size(), n);
+  const auto& registry = driver::ScenarioRegistry::instance();
+  const auto scenario = registry.build("hetero", n);
+  ASSERT_EQ(scenario.cluster.worker_overrides.size(), n);
   std::size_t fast = 0;
-  for (const auto& w : scenario->cluster.worker_overrides) {
+  for (const auto& w : scenario.cluster.worker_overrides) {
     if (w.compute_straggle > 1.0) {
       ++fast;
     }
   }
   EXPECT_EQ(fast, n / 20);  // 5% fast workers
   // Tiny clusters still get at least one fast worker.
-  const auto tiny = driver::make_scenario("hetero", 3);
-  ASSERT_TRUE(tiny.has_value());
-  ASSERT_EQ(tiny->cluster.worker_overrides.size(), 3u);
-  EXPECT_GT(tiny->cluster.worker_overrides.back().compute_straggle, 1.0);
+  const auto tiny = registry.build("hetero", 3);
+  ASSERT_EQ(tiny.cluster.worker_overrides.size(), 3u);
+  EXPECT_GT(tiny.cluster.worker_overrides.back().compute_straggle, 1.0);
 }
 
 TEST(ScenarioRegistry, ScenarioKnobsDifferFromBaseline) {
-  const auto base = driver::make_scenario("shifted_exp", 20);
-  const auto lossy = driver::make_scenario("lossy", 20);
-  const auto fast = driver::make_scenario("fast_network", 20);
-  const auto calm = driver::make_scenario("no_stragglers", 20);
-  ASSERT_TRUE(base && lossy && fast && calm);
-  EXPECT_GT(lossy->cluster.drop_probability, 0.0);
-  EXPECT_LT(fast->cluster.unit_transfer_seconds,
-            base->cluster.unit_transfer_seconds);
-  EXPECT_FALSE(calm->straggler.enabled);
-  EXPECT_TRUE(base->straggler.enabled);
+  const auto& registry = driver::ScenarioRegistry::instance();
+  const auto base = registry.build("shifted_exp", 20);
+  const auto lossy = registry.build("lossy", 20);
+  const auto fast = registry.build("fast_network", 20);
+  const auto calm = registry.build("no_stragglers", 20);
+  EXPECT_GT(lossy.cluster.drop_probability, 0.0);
+  EXPECT_LT(fast.cluster.unit_transfer_seconds,
+            base.cluster.unit_transfer_seconds);
+  EXPECT_FALSE(calm.straggler.enabled);
+  EXPECT_TRUE(base.straggler.enabled);
 }
 
 TEST(RuntimeFactory, SpellingsAndNames) {
@@ -231,8 +233,9 @@ TEST(RuntimeFactory, SpellingsAndNames) {
   EXPECT_EQ(driver::make_runtime("proc")->name(), "process");
   EXPECT_EQ(driver::make_runtime("mpi"), nullptr);
   EXPECT_EQ(driver::runtime_names().size(), 3u);
-  EXPECT_NE(driver::runtime_choices().find("sim"), std::string::npos);
-  EXPECT_NE(driver::runtime_choices().find("process"), std::string::npos);
+  const std::string choices = driver::RuntimeRegistry::instance().choices();
+  EXPECT_NE(choices.find("sim"), std::string::npos);
+  EXPECT_NE(choices.find("process"), std::string::npos);
 }
 
 TEST(Driver, ConfigFromSimScenarioCopiesParametersAndCluster) {

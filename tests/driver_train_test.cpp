@@ -183,30 +183,37 @@ TEST(DriverTrain, TrainingSweepIsBitIdenticalSerialVsParallel) {
   EXPECT_EQ(serial, run_to_jsonl(4));
 }
 
-TEST(DriverTrain, BatchedTrainingSweepIsBitIdenticalToSequential) {
-  // sim_batch > 1 routes train cells through BatchedTrainKernel
-  // (run_simulated_train_batch); sim_batch = 1 runs every cell through
-  // SimulatedRuntime::run. The sink bytes must be identical — lockstep
-  // batching is invisible in the records.
+TEST(DriverTrain, ParallelTrainingSweepMatchesSerialAndStandaloneRuns) {
+  // Every sweep cell is one run_experiment call on the pool: a 4-thread
+  // sweep, a serial sweep, and each cell run standalone must render the
+  // same JSONL bytes.
   driver::SweepPlan plan;
   plan.base = small_train_config();
   plan.base.record_loss_history = true;
   plan.schemes = {"bcc", "gc_cyclic", "sgc"};
   plan.seeds = {1, 2, 3, 4};
 
-  auto run_to_jsonl = [&](std::size_t sim_batch) {
+  auto run_to_jsonl = [&](std::size_t threads) {
     std::ostringstream os;
     driver::JsonlSink sink(os);
     driver::SweepOptions options;
-    options.threads = 1;
+    options.threads = threads;
     options.sink = &sink;
-    options.sim_batch = sim_batch;
     driver::run_sweep(plan, options);
     return os.str();
   };
-  const std::string sequential = run_to_jsonl(1);
-  ASSERT_FALSE(sequential.empty());
-  EXPECT_EQ(sequential, run_to_jsonl(8));
+  const std::string serial = run_to_jsonl(1);
+  ASSERT_FALSE(serial.empty());
+  EXPECT_EQ(serial, run_to_jsonl(4));
+
+  std::ostringstream standalone;
+  driver::JsonlSink sink(standalone);
+  const auto cells = driver::expand_plan(plan);
+  ASSERT_EQ(cells.size(), 12u);
+  for (const auto& cell : cells) {
+    sink.write(driver::run_experiment(cell.config));
+  }
+  EXPECT_EQ(serial, standalone.str());
 }
 
 TEST(DriverTrain, ThreadedRecordAlsoCarriesTheNewFields) {

@@ -22,6 +22,11 @@
 namespace coupon::simulate {
 namespace {
 
+/// `iterations` iterations with the per-iteration trace recorded.
+RunOptions traced(std::size_t iterations) {
+  return RunOptions{iterations, /*record_trace=*/true};
+}
+
 // --- ShiftedExpModel: the bit-identical default ---------------------------
 
 TEST(ShiftedExpModel, ReproducesTheLegacyDrawExactly) {
@@ -71,8 +76,9 @@ TEST(ShiftedExpModel, ExplicitFactoryMatchesTheDefaultPathBitForBit) {
     return std::make_unique<ShiftedExpModel>(1e-3, 50.0);
   };
 
-  const auto run_a = simulate_run(*scheme_a, implicit, 20, rng_a);
-  const auto run_b = simulate_run(*scheme_b, explicit_factory, 20, rng_b);
+  const auto run_a = simulate_run(*scheme_a, implicit, traced(20), rng_a);
+  const auto run_b =
+      simulate_run(*scheme_b, explicit_factory, traced(20), rng_b);
   ASSERT_EQ(run_a.iterations.size(), run_b.iterations.size());
   for (std::size_t t = 0; t < run_a.iterations.size(); ++t) {
     EXPECT_DOUBLE_EQ(run_a.iterations[t].total_time,
@@ -262,8 +268,8 @@ TEST(MarkovStragglerModel, PersistenceRaisesRunVariabilityOverBursty) {
                                                   20.0);
   };
 
-  const auto run_m = simulate_run(*scheme_m, markov, 300, rng_markov);
-  const auto run_b = simulate_run(*scheme_b, bimodal, 300, rng_bimodal);
+  const auto run_m = simulate_run(*scheme_m, markov, traced(300), rng_markov);
+  const auto run_b = simulate_run(*scheme_b, bimodal, traced(300), rng_bimodal);
   stats::OnlineStats totals_m, totals_b;
   for (const auto& it : run_m.iterations) {
     totals_m.add(it.total_time);
@@ -377,7 +383,7 @@ TEST(TraceReplayModel, DrivesTheSimulatorDeterministically) {
   cluster.latency_model = [path](std::size_t n) {
     return std::make_unique<TraceReplayModel>(path, n);
   };
-  const auto run = simulate_run(*scheme, cluster, 4, rng);
+  const auto run = simulate_run(*scheme, cluster, traced(4), rng);
   ASSERT_EQ(run.iterations.size(), 4u);
   // Uncoded waits for the slowest worker: 0.2 s every iteration, from a
   // different worker in alternating rows.
@@ -446,7 +452,7 @@ TEST(ValidateClusterConfig, SimulatorRejectsBadConfigsBeforeSampling) {
   cluster.drop_probability = 2.0;
   EXPECT_THROW(simulate_iteration(*scheme, cluster, rng),
                coupon::AssertionError);
-  EXPECT_THROW(simulate_run(*scheme, cluster, 3, rng),
+  EXPECT_THROW(simulate_run(*scheme, cluster, traced(3), rng),
                coupon::AssertionError);
 }
 

@@ -361,18 +361,5 @@ TEST(UnknownNameMessage, IncludesDidYouMeanWhenClose) {
   EXPECT_NE(far.find("choices:"), std::string::npos);
 }
 
-// --- logging -----------------------------------------------------------------
-
-TEST(Logger, LevelFiltering) {
-  Logger& log = Logger::instance();
-  const LogLevel old = log.level();
-  log.set_level(LogLevel::kError);
-  EXPECT_EQ(log.level(), LogLevel::kError);
-  // Writing below the threshold must be a no-op (no crash, no output check
-  // needed — the contract is simply that it is safe).
-  log_debug() << "suppressed";
-  log.set_level(old);
-}
-
 }  // namespace
 }  // namespace coupon
