@@ -37,10 +37,6 @@ struct Message {
 
   /// Wire size in bytes if serialized (header + meta + payload).
   std::size_t wire_size() const;
-
-  /// Size of the payload normalized to gradient units; the communication
-  /// load L of Definition 3 sums this over received messages.
-  std::size_t payload_size() const { return payload.size(); }
 };
 
 /// Serializes `m` into a portable little-endian byte buffer.

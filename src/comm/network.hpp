@@ -4,14 +4,13 @@
 /// In-process rank-addressed message-passing fabric.
 ///
 /// This substitutes for MPI in the threaded runtime: every participant
-/// (rank 0 = master, ranks 1..n = workers) owns a mailbox; `send` routes a
-/// message to the destination mailbox; `recv` blocks on the caller's own
-/// mailbox. Messages round-trip through byte serialization so the code
-/// path exercised is the same one a socket transport would use, and
-/// per-rank traffic counters feed the communication-load accounting.
+/// (rank 0 = master, ranks 1..n = workers) owns a mailbox and `send`
+/// routes a message to the destination mailbox. Receiving goes through
+/// the rank's `InProcessTransport` endpoint (comm/transport.hpp), the
+/// one receive API of both live runtimes. Messages round-trip through
+/// byte serialization so the code path exercised is the same one a
+/// socket transport would use.
 
-#include <atomic>
-#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -20,22 +19,14 @@
 
 namespace coupon::comm {
 
-/// Per-rank cumulative traffic counters.
-struct TrafficStats {
-  std::uint64_t messages_sent = 0;
-  std::uint64_t messages_received = 0;
-  std::uint64_t bytes_sent = 0;
-  std::uint64_t payload_units_sent = 0;  ///< Σ payload sizes (Definition 3)
-};
-
-/// A fixed-size set of endpoints with reliable in-order unicast delivery.
+/// A fixed-size set of mailboxes with reliable in-order unicast delivery.
 ///
-/// Thread safety: any thread may send to any rank; `recv`/`try_recv` for a
-/// given rank should be called by that rank's owning thread (the usual MPI
-/// discipline).
+/// Thread safety: any thread may send to any rank; a rank's mailbox is
+/// drained by that rank's owning thread through its endpoint (the usual
+/// MPI discipline).
 class InProcNetwork {
  public:
-  /// Creates `num_ranks` endpoints (rank ids 0 .. num_ranks-1).
+  /// Creates `num_ranks` mailboxes (rank ids 0 .. num_ranks-1).
   explicit InProcNetwork(std::size_t num_ranks);
 
   std::size_t num_ranks() const { return mailboxes_.size(); }
@@ -45,45 +36,18 @@ class InProcNetwork {
   /// if the destination mailbox is closed.
   bool send(Message m);
 
-  /// Blocking receive on `rank`'s mailbox; nullopt once closed and drained.
-  std::optional<Message> recv(std::size_t rank);
-
-  /// Receive with timeout; nullopt on timeout or closed.
-  std::optional<Message> recv_for(std::size_t rank,
-                                  std::chrono::milliseconds timeout);
-
-  /// Blocking receive with a distinguishable outcome: kItem with `out`
-  /// assigned, or kClosed once the mailbox is closed and drained.
-  PopStatus recv(std::size_t rank, Message& out);
-
-  /// Deadline receive that keeps EOF distinct from timeout: kItem with
-  /// `out` assigned, kTimeout when the deadline passed with the mailbox
-  /// open, kClosed once closed and drained.
-  PopStatus recv_for(std::size_t rank, std::chrono::milliseconds timeout,
-                     Message& out);
-
-  /// Non-blocking receive.
-  std::optional<Message> try_recv(std::size_t rank);
-
   /// Closes one mailbox (wakes its blocked receiver).
   void close_rank(std::size_t rank);
 
   /// Closes all mailboxes.
   void close_all();
 
-  /// Snapshot of `rank`'s traffic counters.
-  TrafficStats stats(std::size_t rank) const;
-
  private:
-  struct Endpoint {
-    BlockingQueue<Message> mailbox;
-    std::atomic<std::uint64_t> messages_sent{0};
-    std::atomic<std::uint64_t> messages_received{0};
-    std::atomic<std::uint64_t> bytes_sent{0};
-    std::atomic<std::uint64_t> payload_units_sent{0};
-  };
+  friend class InProcessTransport;  // drains its own rank's mailbox
 
-  std::vector<std::unique_ptr<Endpoint>> mailboxes_;
+  BlockingQueue<Message>& mailbox(std::size_t rank);
+
+  std::vector<std::unique_ptr<BlockingQueue<Message>>> mailboxes_;
 };
 
 }  // namespace coupon::comm

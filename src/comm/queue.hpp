@@ -8,14 +8,12 @@
 #include <condition_variable>
 #include <deque>
 #include <mutex>
-#include <optional>
 
 namespace coupon::comm {
 
-/// Why a deadline pop returned without an item — or with one. Crash
-/// detection needs "the peer went away" (kClosed, terminal) to be
-/// distinguishable from "the peer is slow" (kTimeout, retryable); the
-/// optional-returning pops conflate the two.
+/// How a pop ended. Crash detection needs "the peer went away" (kClosed,
+/// terminal) to be distinguishable from "the peer is slow" (kTimeout,
+/// retryable).
 enum class PopStatus {
   kItem,     ///< an item was delivered
   kTimeout,  ///< the deadline passed with the queue open and empty
@@ -25,7 +23,7 @@ enum class PopStatus {
 /// Unbounded MPMC FIFO with blocking pop and close semantics.
 ///
 /// After `close()`, pushes are rejected and pops drain the remaining
-/// items, then return nullopt — the standard graceful-shutdown contract
+/// items, then report kClosed — the standard graceful-shutdown contract
 /// for worker loops.
 template <typename T>
 class BlockingQueue {
@@ -43,45 +41,16 @@ class BlockingQueue {
     return true;
   }
 
-  /// Blocks until an item is available or the queue is closed and drained.
-  std::optional<T> pop() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [this] { return closed_ || !items_.empty(); });
-    if (items_.empty()) {
-      return std::nullopt;
-    }
-    T item = std::move(items_.front());
-    items_.pop_front();
-    return item;
-  }
-
-  /// Like pop() but gives up after `timeout`; nullopt on timeout or closed
-  /// and drained.
-  std::optional<T> pop_for(std::chrono::milliseconds timeout) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (!cv_.wait_for(lock, timeout,
-                      [this] { return closed_ || !items_.empty(); })) {
-      return std::nullopt;
-    }
-    if (items_.empty()) {
-      return std::nullopt;
-    }
-    T item = std::move(items_.front());
-    items_.pop_front();
-    return item;
-  }
-
-  /// Blocking pop with a distinguishable outcome: kItem with `out`
-  /// assigned, or kClosed once the queue is closed and drained.
+  /// Blocks until an item arrives (kItem, `out` assigned) or the queue is
+  /// closed and drained (kClosed).
   PopStatus pop(T& out) {
     std::unique_lock<std::mutex> lock(mutex_);
     cv_.wait(lock, [this] { return closed_ || !items_.empty(); });
     return take_locked(out);
   }
 
-  /// Deadline pop with a distinguishable outcome: kItem with `out`
-  /// assigned, kTimeout when the deadline passed with the queue still
-  /// open, or kClosed once closed and drained.
+  /// Like pop(), but reports kTimeout when `timeout` passes with the
+  /// queue still open and empty.
   PopStatus pop_for(std::chrono::milliseconds timeout, T& out) {
     std::unique_lock<std::mutex> lock(mutex_);
     if (!cv_.wait_for(lock, timeout,
@@ -91,17 +60,6 @@ class BlockingQueue {
     return take_locked(out);
   }
 
-  /// Non-blocking pop.
-  std::optional<T> try_pop() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (items_.empty()) {
-      return std::nullopt;
-    }
-    T item = std::move(items_.front());
-    items_.pop_front();
-    return item;
-  }
-
   /// Marks the queue closed and wakes all waiters.
   void close() {
     {
@@ -109,16 +67,6 @@ class BlockingQueue {
       closed_ = true;
     }
     cv_.notify_all();
-  }
-
-  bool closed() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return closed_;
-  }
-
-  std::size_t size() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return items_.size();
   }
 
  private:
@@ -133,7 +81,7 @@ class BlockingQueue {
     return PopStatus::kItem;
   }
 
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable cv_;
   std::deque<T> items_;
   bool closed_ = false;

@@ -74,16 +74,6 @@ int wait_readable(int fd, std::chrono::milliseconds timeout) {
   }
 }
 
-bool send_frame_bytes(int fd, const std::vector<std::uint8_t>& wire) {
-  std::uint8_t prefix[8];
-  const std::uint64_t length = wire.size();
-  for (int i = 0; i < 8; ++i) {
-    prefix[i] = static_cast<std::uint8_t>(length >> (8 * i));
-  }
-  return write_all(fd, prefix, sizeof(prefix)) &&
-         write_all(fd, wire.data(), wire.size());
-}
-
 /// Turns off Nagle on TCP streams; a no-op on AF_UNIX (where the option
 /// does not exist) — each iteration is a small latency-bound exchange.
 void set_nodelay(int fd) {
@@ -103,7 +93,14 @@ bool send_frame(int fd, const Message& m) {
   if (fd < 0) {
     return false;
   }
-  return send_frame_bytes(fd, serialize(m));
+  const std::vector<std::uint8_t> wire = serialize(m);
+  std::uint8_t prefix[8];
+  const std::uint64_t length = wire.size();
+  for (int i = 0; i < 8; ++i) {
+    prefix[i] = static_cast<std::uint8_t>(length >> (8 * i));
+  }
+  return write_all(fd, prefix, sizeof(prefix)) &&
+         write_all(fd, wire.data(), wire.size());
 }
 
 FrameStatus recv_frame(int fd, std::chrono::milliseconds timeout,
@@ -311,15 +308,7 @@ bool TcpTransport::send(Message m) {
     return false;
   }
   m.source = static_cast<std::int32_t>(rank_);
-  const int fd = fd_for(static_cast<std::size_t>(m.dest));
-  const std::vector<std::uint8_t> wire = serialize(m);
-  if (!send_frame_bytes(fd, wire)) {
-    return false;
-  }
-  ++messages_sent_;
-  bytes_sent_ += wire.size();
-  payload_units_sent_ += m.payload.size();
-  return true;
+  return send_frame(fd_for(static_cast<std::size_t>(m.dest)), m);
 }
 
 RecvEvent TcpTransport::recv() {
@@ -341,8 +330,6 @@ RecvEvent TcpTransport::recv_for(std::chrono::milliseconds timeout) {
       event.status = RecvStatus::kTimeout;
     } else if (status == PopStatus::kClosed) {
       event.status = RecvStatus::kClosed;
-    } else if (event.status == RecvStatus::kMessage) {
-      ++messages_received_;
     }
     return event;
   }
@@ -352,7 +339,6 @@ RecvEvent TcpTransport::recv_for(std::chrono::milliseconds timeout) {
     case FrameStatus::kMessage:
       event.status = RecvStatus::kMessage;
       event.peer = 0;
-      ++messages_received_;
       return event;
     case FrameStatus::kTimeout:
       event.status = RecvStatus::kTimeout;
@@ -383,15 +369,6 @@ void TcpTransport::close() {
     fd = -1;
   }
   inbox_.close();
-}
-
-TrafficStats TcpTransport::stats() const {
-  TrafficStats s;
-  s.messages_sent = messages_sent_;
-  s.bytes_sent = bytes_sent_;
-  s.payload_units_sent = payload_units_sent_;
-  s.messages_received = messages_received_;
-  return s;
 }
 
 }  // namespace coupon::comm

@@ -113,12 +113,10 @@ class TcpTransport final : public Transport {
 
   std::size_t rank() const override { return rank_; }
   std::size_t num_ranks() const override { return num_ranks_; }
-  std::string_view kind() const override { return "tcp"; }
   bool send(Message m) override;
   RecvEvent recv() override;
   RecvEvent recv_for(std::chrono::milliseconds timeout) override;
   void close() override;
-  TrafficStats stats() const override;
 
  private:
   TcpTransport(std::size_t rank, std::size_t num_ranks,
@@ -137,10 +135,6 @@ class TcpTransport final : public Transport {
   std::vector<std::thread> readers_;          // master only
   BlockingQueue<RecvEvent> inbox_;            // master only
   bool closed_ = false;
-  std::uint64_t messages_sent_ = 0;
-  std::uint64_t bytes_sent_ = 0;
-  std::uint64_t payload_units_sent_ = 0;
-  std::uint64_t messages_received_ = 0;
 };
 
 }  // namespace coupon::comm

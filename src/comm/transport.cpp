@@ -17,7 +17,7 @@ bool InProcessTransport::send(Message m) {
 
 RecvEvent InProcessTransport::recv() {
   RecvEvent event;
-  if (network_.recv(rank_, event.message) != PopStatus::kItem) {
+  if (network_.mailbox(rank_).pop(event.message) != PopStatus::kItem) {
     event.status = RecvStatus::kClosed;
     return event;
   }
@@ -28,7 +28,7 @@ RecvEvent InProcessTransport::recv() {
 
 RecvEvent InProcessTransport::recv_for(std::chrono::milliseconds timeout) {
   RecvEvent event;
-  switch (network_.recv_for(rank_, timeout, event.message)) {
+  switch (network_.mailbox(rank_).pop_for(timeout, event.message)) {
     case PopStatus::kItem:
       event.status = RecvStatus::kMessage;
       event.peer = static_cast<std::size_t>(event.message.source);
@@ -44,9 +44,5 @@ RecvEvent InProcessTransport::recv_for(std::chrono::milliseconds timeout) {
 }
 
 void InProcessTransport::close() { network_.close_rank(rank_); }
-
-TrafficStats InProcessTransport::stats() const {
-  return network_.stats(rank_);
-}
 
 }  // namespace coupon::comm

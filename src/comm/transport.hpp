@@ -7,15 +7,16 @@
 /// outgoing messages by `Message::dest` and surfaces incoming traffic as
 /// `RecvEvent`s whose status keeps the three ways a wait can end apart —
 /// a message arrived, the deadline passed, or an endpoint went away. The
-/// master-side iteration provider (runtime/transport_provider.hpp) is
-/// written against this interface only, so the threaded runtime (an
-/// `InProcessTransport` over the in-process fabric) and the multi-process
-/// runtime (a `TcpTransport` over stream sockets) share one protocol
-/// implementation; framing and connection management never leak upward.
+/// master-side iteration provider (runtime/transport_provider.hpp) and
+/// the worker loop (runtime/worker.hpp) are written against this
+/// interface only, so the threaded runtime (`InProcessTransport`
+/// endpoints over the in-process fabric) and the multi-process runtime
+/// (`TcpTransport` endpoints over stream sockets) share one protocol
+/// implementation on both sides; framing and connection management
+/// never leak upward.
 
 #include <chrono>
 #include <cstddef>
-#include <string_view>
 
 #include "comm/message.hpp"
 #include "comm/network.hpp"
@@ -39,7 +40,9 @@ struct RecvEvent {
   Message message;
 };
 
-/// One endpoint of a rank-addressed message fabric.
+/// One endpoint of a rank-addressed message fabric — the only receive
+/// API of the live runtimes: the master-side provider and the shared
+/// worker loop (runtime/worker.hpp) both receive through it.
 ///
 /// Thread safety follows the MPI discipline of InProcNetwork: any thread
 /// may send, but `recv`/`recv_for` belong to the endpoint's owning
@@ -53,9 +56,6 @@ class Transport {
 
   /// Total participants, master included.
   virtual std::size_t num_ranks() const = 0;
-
-  /// Implementation tag for records and diagnostics ("inproc", "tcp").
-  virtual std::string_view kind() const = 0;
 
   /// Routes `m` to `m.dest`, stamping `m.source` with this endpoint's
   /// rank. Returns false when the destination is gone (closed mailbox,
@@ -74,15 +74,13 @@ class Transport {
   /// Shuts the endpoint down: subsequent receives return kClosed and
   /// peers observe EOF where the fabric supports it. Idempotent.
   virtual void close() = 0;
-
-  /// Cumulative traffic counters for this endpoint.
-  virtual TrafficStats stats() const = 0;
 };
 
 /// `Transport` endpoint over the in-process fabric backing the threaded
-/// runtime. Peers are threads of one process, so peer death is not
-/// observable: receives never return kPeerClosed, and a closed-and-
-/// drained mailbox surfaces as kClosed.
+/// runtime: the master and every worker thread each hold one. Peers are
+/// threads of one process, so peer death is not observable: receives
+/// never return kPeerClosed, and a closed-and-drained mailbox surfaces
+/// as kClosed.
 class InProcessTransport final : public Transport {
  public:
   /// Binds to `rank`'s mailbox in `network`, which must outlive this
@@ -91,12 +89,10 @@ class InProcessTransport final : public Transport {
 
   std::size_t rank() const override { return rank_; }
   std::size_t num_ranks() const override { return network_.num_ranks(); }
-  std::string_view kind() const override { return "inproc"; }
   bool send(Message m) override;
   RecvEvent recv() override;
   RecvEvent recv_for(std::chrono::milliseconds timeout) override;
   void close() override;
-  TrafficStats stats() const override;
 
  private:
   InProcNetwork& network_;

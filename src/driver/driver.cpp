@@ -107,22 +107,6 @@ std::optional<ExperimentConfig> config_from_flags(const CliFlags& flags) {
     return std::nullopt;
   }
   config.runtime = runtime->name;  // canonicalize aliases
-  // Capability-driven validation: ask what the runtime can do, not what
-  // it is called (out-of-tree runtimes get the same checks for free).
-  if (scenario->sim_only && !runtime->caps.honours_sim_only_scenarios) {
-    std::fprintf(stderr,
-                 "--scenario %s only varies simulator-side knobs; use "
-                 "--runtime sim\n",
-                 config.scenario.c_str());
-    return std::nullopt;
-  }
-  if (scenario->live_only && !runtime->caps.honours_elasticity) {
-    std::fprintf(stderr,
-                 "--scenario %s needs a live cluster (workers join/leave); "
-                 "use --runtime threaded or process\n",
-                 config.scenario.c_str());
-    return std::nullopt;
-  }
 
   const std::string policy = flags.get_string("on_failure");
   if (policy == "skip") {
@@ -172,23 +156,16 @@ std::optional<ExperimentConfig> config_from_flags(const CliFlags& flags) {
   config.worker_timeout_ms = flags.get_int("worker_timeout_ms");
   const std::int64_t crash_worker = flags.get_int("crash_worker");
   if (crash_worker >= 0) {
-    if (!runtime->caps.spawns_processes) {
-      std::fprintf(stderr,
-                   "--crash_worker injects a real worker-process SIGKILL; "
-                   "the %s runtime has no processes to kill — use "
-                   "--runtime process\n",
-                   config.runtime.c_str());
-      return std::nullopt;
-    }
-    if (static_cast<std::size_t>(crash_worker) >= config.num_workers) {
-      std::fprintf(stderr, "--crash_worker %lld out of range (n = %zu)\n",
-                   static_cast<long long>(crash_worker), config.num_workers);
-      return std::nullopt;
-    }
     config.crash_worker = static_cast<std::size_t>(crash_worker);
   }
   config.crash_iteration =
       static_cast<std::size_t>(flags.get_int("crash_iteration"));
+  try {
+    check_runtime_accepts(*runtime, config);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return std::nullopt;
+  }
   return config;
 }
 

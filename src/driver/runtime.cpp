@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <stdexcept>
+#include <type_traits>
 
 #include "core/gradient_source.hpp"
 #include "core/scheme_registry.hpp"
@@ -164,30 +165,68 @@ void fill_convergence_fields(const engine::TrainReport& report,
   }
 }
 
-/// Rejects the process-only crash drill on runtimes whose workers are
-/// not OS processes.
-void reject_crash_drill(const ExperimentConfig& config,
-                        std::string_view runtime_name) {
+/// The registry entry a built-in runtime was published under.
+const RuntimeEntry& registry_entry(const Runtime& runtime) {
+  const RuntimeEntry* entry = RuntimeRegistry::instance().find(runtime.name());
+  COUPON_ASSERT(entry != nullptr);
+  return *entry;
+}
+
+/// The one body of both live runtimes: data first, then the scheme — the
+/// same draw order on both, so rng(seed) names the same problem and
+/// scheme and an undisturbed run's final loss matches across them
+/// bit-for-bit (for schemes with arrival-order-independent decodes).
+/// Seeded first batches (by default) guarantee per-iteration BCC
+/// coverage, matching the quickstart's real-training setup.
+template <typename Cluster>
+RunRecord run_live(const Runtime& live, const ExperimentConfig& config) {
+  check_runtime_accepts(registry_entry(live), config);
+  const Scenario scenario = ScenarioRegistry::instance().build(
+      config.scenario, config.num_workers);
+  RunRecord record = identity_record(config, live.name());
+
+  stats::Rng rng(config.seed);
+  TrainingWorkload workload;
+  build_workload(config, rng, workload);
+  auto scheme = core::SchemeRegistry::instance().create(
+      config.scheme, scheme_config(config, /*default_seed_first_batches=*/true),
+      rng);
+  record.scheme_display = std::string(scheme->name());
+
+  Cluster cluster(*scheme, *workload.source, config.seed + 42);
+  auto optimizer = make_optimizer(config);
+
+  runtime::ProcessTrainOptions options;
+  static_cast<engine::TrainOptions&>(options) =
+      engine_options(config, workload);
+  options.straggler = scenario.straggler;
+  options.elasticity = scenario.elasticity;
+  options.worker_timeout = std::chrono::milliseconds(
+      std::max<std::int64_t>(0, config.worker_timeout_ms));
   if (config.crash_worker) {
-    throw std::invalid_argument(
-        "crash_worker injects a real worker-process SIGKILL; the " +
-        std::string(runtime_name) +
-        " runtime has no processes to kill — use --runtime process");
+    options.crash = runtime::CrashPlan{.worker = *config.crash_worker,
+                                       .iteration = config.crash_iteration};
   }
+
+  runtime::ProcessTrainResult result;
+  if constexpr (std::is_same_v<Cluster, runtime::ProcessCluster>) {
+    result = cluster.train(*optimizer, options);
+  } else {
+    result.report = cluster.train(*optimizer, options);
+  }
+
+  fill_convergence_fields(result.report, workload, record);
+  record.loss_history = std::move(result.report.loss_history);
+  record.workers_lost = result.workers_lost;
+  return record;
 }
 
 }  // namespace
 
 RunRecord SimulatedRuntime::run(const ExperimentConfig& config) const {
+  check_runtime_accepts(registry_entry(*this), config);
   const Scenario scenario = ScenarioRegistry::instance().build(
       config.scenario, config.num_workers);
-  if (scenario.live_only) {
-    throw std::invalid_argument(
-        "scenario '" + scenario.name +
-        "' needs a live cluster (workers join/leave); use --runtime "
-        "threaded or process");
-  }
-  reject_crash_drill(config, name());
   RunRecord record = identity_record(config, name());
 
   // The footgun fix: a caller-supplied cluster model (e.g. from
@@ -225,8 +264,8 @@ RunRecord SimulatedRuntime::run(const ExperimentConfig& config) const {
 
   stats::Rng rng(config.seed);
   auto scheme = core::SchemeRegistry::instance().create(
-      config.scheme, scheme_config(config, /*default_seed_first_batches=*/false),
-      rng);
+      config.scheme,
+      scheme_config(config, /*default_seed_first_batches=*/false), rng);
   record.scheme_display = std::string(scheme->name());
 
   simulate::RunOptions options;
@@ -246,107 +285,11 @@ RunRecord SimulatedRuntime::run(const ExperimentConfig& config) const {
 }
 
 RunRecord ThreadedRuntime::run(const ExperimentConfig& config) const {
-  const Scenario scenario = ScenarioRegistry::instance().build(
-      config.scenario, config.num_workers);
-  if (scenario.sim_only) {
-    throw std::invalid_argument(
-        "scenario '" + scenario.name +
-        "' only varies simulator-side knobs; use --runtime sim");
-  }
-  if (config.cluster_override) {
-    throw std::invalid_argument(
-        "cluster_override describes the simulated cluster; the threaded "
-        "runtime cannot honour it — use the sim runtime");
-  }
-  reject_crash_drill(config, name());
-  RunRecord record = identity_record(config, name());
-
-  stats::Rng rng(config.seed);
-  TrainingWorkload workload;
-  build_workload(config, rng, workload);
-
-  // Seeded first batches (by default) guarantee per-iteration BCC
-  // coverage, matching the quickstart's real-training setup.
-  auto scheme = core::SchemeRegistry::instance().create(
-      config.scheme, scheme_config(config, /*default_seed_first_batches=*/true),
-      rng);
-  record.scheme_display = std::string(scheme->name());
-
-  runtime::ThreadCluster cluster(*scheme, *workload.source, config.seed + 42);
-  auto optimizer = make_optimizer(config);
-
-  runtime::TrainOptions options;
-  static_cast<engine::TrainOptions&>(options) =
-      engine_options(config, workload);
-  options.straggler = scenario.straggler;
-  options.elasticity = scenario.elasticity;
-
-  engine::TrainReport report = cluster.train(*optimizer, options);
-
-  fill_convergence_fields(report, workload, record);
-  record.loss_history = std::move(report.loss_history);
-  return record;
+  return run_live<runtime::ThreadCluster>(*this, config);
 }
 
 RunRecord ProcessRuntime::run(const ExperimentConfig& config) const {
-  const Scenario scenario = ScenarioRegistry::instance().build(
-      config.scenario, config.num_workers);
-  if (scenario.sim_only) {
-    throw std::invalid_argument(
-        "scenario '" + scenario.name +
-        "' only varies simulator-side knobs; use --runtime sim");
-  }
-  if (config.cluster_override) {
-    throw std::invalid_argument(
-        "cluster_override describes the simulated cluster; the process "
-        "runtime cannot honour it — use the sim runtime");
-  }
-  if (!runtime::ProcessCluster::supported()) {
-    throw std::runtime_error(
-        "the process runtime needs fork() and stream sockets (loopback "
-        "TCP or AF_UNIX socketpair), unavailable in this sandbox — use "
-        "--runtime threaded");
-  }
-  RunRecord record = identity_record(config, name());
-
-  // Same draw order as the threaded runtime — rng(seed) names the same
-  // problem and scheme on both live substrates, so an undisturbed run's
-  // final loss matches the threaded runtime's bit-for-bit (for schemes
-  // with arrival-order-independent decodes).
-  stats::Rng rng(config.seed);
-  TrainingWorkload workload;
-  build_workload(config, rng, workload);
-  auto scheme = core::SchemeRegistry::instance().create(
-      config.scheme, scheme_config(config, /*default_seed_first_batches=*/true),
-      rng);
-  record.scheme_display = std::string(scheme->name());
-
-  runtime::ProcessCluster cluster(*scheme, *workload.source,
-                                  config.seed + 42);
-  auto optimizer = make_optimizer(config);
-
-  runtime::ProcessTrainOptions options;
-  static_cast<engine::TrainOptions&>(options) =
-      engine_options(config, workload);
-  options.straggler = scenario.straggler;
-  options.elasticity = scenario.elasticity;
-  options.worker_timeout =
-      std::chrono::milliseconds(std::max<std::int64_t>(0, config.worker_timeout_ms));
-  if (config.crash_worker) {
-    if (*config.crash_worker >= config.num_workers) {
-      throw std::invalid_argument("crash_worker out of range (n = " +
-                                  std::to_string(config.num_workers) + ")");
-    }
-    options.crash = runtime::CrashPlan{.worker = *config.crash_worker,
-                                       .iteration = config.crash_iteration};
-  }
-
-  runtime::ProcessTrainResult result = cluster.train(*optimizer, options);
-
-  fill_convergence_fields(result.report, workload, record);
-  record.loss_history = std::move(result.report.loss_history);
-  record.workers_lost = result.workers_lost;
-  return record;
+  return run_live<runtime::ProcessCluster>(*this, config);
 }
 
 std::unique_ptr<Runtime> make_runtime(std::string_view name) {

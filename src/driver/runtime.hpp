@@ -32,8 +32,7 @@ class Runtime {
 
   /// Runs one (scheme, scenario) cell. Throws std::invalid_argument on an
   /// unknown scheme/scenario name or a scenario/config this runtime
-  /// cannot express (sim-only scenario or cluster_override under the
-  /// threaded runtime).
+  /// cannot express (`check_runtime_accepts`, runtime_registry.hpp).
   virtual RunRecord run(const ExperimentConfig& config) const = 0;
 };
 

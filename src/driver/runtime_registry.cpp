@@ -3,6 +3,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "driver/scenario_registry.hpp"
 #include "util/names.hpp"
 
 namespace coupon::driver {
@@ -96,6 +97,45 @@ std::string RuntimeRegistry::choices() const { return join_names(names()); }
 
 std::string RuntimeRegistry::unknown_message(std::string_view name) const {
   return unknown_name_message("runtime", name, names());
+}
+
+void check_runtime_accepts(const RuntimeEntry& runtime,
+                           const ExperimentConfig& config) {
+  const auto& scenarios = ScenarioRegistry::instance();
+  const ScenarioEntry* scenario = scenarios.resolve(config.scenario);
+  if (scenario == nullptr) {
+    throw std::invalid_argument(scenarios.unknown_message(config.scenario));
+  }
+  const RuntimeCapabilities& caps = runtime.caps;
+  const std::string on = "; the " + runtime.name + " runtime ";
+  if (scenario->sim_only && !caps.honours_sim_only_scenarios) {
+    throw std::invalid_argument("scenario '" + config.scenario +
+                                "' only varies simulator-side knobs" + on +
+                                "cannot express it — use --runtime sim");
+  }
+  if (scenario->live_only && !caps.honours_elasticity) {
+    throw std::invalid_argument(
+        "scenario '" + config.scenario +
+        "' needs a live cluster (workers join/leave)" + on +
+        "cannot express it — use --runtime threaded or process");
+  }
+  if (config.cluster_override && !caps.honours_cluster_override) {
+    throw std::invalid_argument(
+        "cluster_override describes the simulated cluster" + on +
+        "cannot honour it — use --runtime sim");
+  }
+  if (config.crash_worker) {
+    if (!caps.spawns_processes) {
+      throw std::invalid_argument(
+          "crash_worker injects a real worker-process SIGKILL" + on +
+          "has no processes to kill — use --runtime process");
+    }
+    if (*config.crash_worker >= config.num_workers) {
+      throw std::invalid_argument(
+          "crash_worker " + std::to_string(*config.crash_worker) +
+          " out of range (n = " + std::to_string(config.num_workers) + ")");
+    }
+  }
 }
 
 }  // namespace coupon::driver

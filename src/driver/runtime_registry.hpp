@@ -98,6 +98,16 @@ class RuntimeRegistry {
   std::vector<RuntimeEntry> entries_;  // stable: entries are never removed
 };
 
+/// The one runtime-compatibility check, called by `config_from_flags`,
+/// sweep planning and every `Runtime::run`. Throws std::invalid_argument
+/// when `config.scenario` does not resolve, or when `runtime`'s
+/// capabilities cannot honour `config`: a sim_only scenario, a live_only
+/// (elastic) scenario, a `cluster_override`, or a crash drill on a
+/// runtime without worker processes — or naming a worker outside
+/// [0, num_workers).
+void check_runtime_accepts(const RuntimeEntry& runtime,
+                           const ExperimentConfig& config);
+
 /// Self-registration helper: a namespace-scope
 ///   static const driver::RuntimeRegistration my_runtime{{.name = ...}};
 /// in the runtime's translation unit publishes it before main() runs.

@@ -1,40 +1,30 @@
 #include "engine/simulated_provider.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 
 #include "util/assert.hpp"
 
 namespace coupon::engine {
 
-SimulatedProvider::SimulatedProvider(
-    const core::Scheme& scheme, const core::UnitGradientSource& source,
-    std::shared_ptr<const simulate::ClusterConfig> cluster, stats::Rng& rng,
-    ProviderOptions options)
+SimulatedProvider::SimulatedProvider(const core::Scheme& scheme,
+                                     const core::UnitGradientSource& source,
+                                     simulate::ClusterConfig cluster,
+                                     stats::Rng& rng, ProviderOptions options)
     : scheme_(scheme),
       source_(source),
       cluster_(std::move(cluster)),
       rng_(rng),
       options_(options),
       cache_(source),
-      model_(simulate::make_latency_model(*cluster_, scheme.num_workers())),
-      kernel_(scheme, *cluster_) {
+      model_(simulate::make_latency_model(cluster_, scheme.num_workers())),
+      kernel_(scheme, cluster_) {
   COUPON_ASSERT(source.num_units() == scheme.num_units());
   if (options_.cache_encode) {
     group_msgs_.resize(scheme.num_encode_groups());
     group_valid_.assign(scheme.num_encode_groups(), 0);
   }
 }
-
-SimulatedProvider::SimulatedProvider(const core::Scheme& scheme,
-                                     const core::UnitGradientSource& source,
-                                     simulate::ClusterConfig cluster,
-                                     stats::Rng& rng, ProviderOptions options)
-    : SimulatedProvider(
-          scheme, source,
-          std::make_shared<const simulate::ClusterConfig>(std::move(cluster)),
-          rng, options) {}
 
 void SimulatedProvider::begin_iteration(std::size_t iteration,
                                         std::span<const double> w) {

@@ -63,23 +63,19 @@ struct ProviderOptions {
 /// scheme, source, and rng must outlive it.
 class SimulatedProvider final : public IterationProvider {
  public:
-  /// Validates `*cluster` (via make_latency_model) and builds the run's
-  /// latency-model instance, so stateful models (Markov, trace replay)
-  /// keep their cross-iteration state for the whole run. The config is
-  /// shared, not copied — the batched kernels hand the same ClusterConfig
-  /// to many providers. scheme/source/rng are referenced and must outlive
-  /// the provider.
-  SimulatedProvider(const core::Scheme& scheme,
-                    const core::UnitGradientSource& source,
-                    std::shared_ptr<const simulate::ClusterConfig> cluster,
-                    stats::Rng& rng, ProviderOptions options = {});
-
-  /// Convenience overload copying a by-value config into shared storage,
-  /// so single-run callers can keep passing temporaries.
+  /// Takes ownership of `cluster`, validates it (via
+  /// make_latency_model) and builds the run's latency-model instance, so
+  /// stateful models (Markov, trace replay) keep their cross-iteration
+  /// state for the whole run. scheme/source/rng are referenced and must
+  /// outlive the provider.
   SimulatedProvider(const core::Scheme& scheme,
                     const core::UnitGradientSource& source,
                     simulate::ClusterConfig cluster, stats::Rng& rng,
                     ProviderOptions options = {});
+
+  // The kernel holds a reference into the owned config.
+  SimulatedProvider(const SimulatedProvider&) = delete;
+  SimulatedProvider& operator=(const SimulatedProvider&) = delete;
 
   void begin_iteration(std::size_t iteration,
                        std::span<const double> w) override;
@@ -89,7 +85,7 @@ class SimulatedProvider final : public IterationProvider {
  private:
   const core::Scheme& scheme_;
   const core::UnitGradientSource& source_;
-  std::shared_ptr<const simulate::ClusterConfig> cluster_;
+  simulate::ClusterConfig cluster_;
   stats::Rng& rng_;
   ProviderOptions options_;
   core::CachedGradientSource cache_;  ///< memoizes unit gradients over source_

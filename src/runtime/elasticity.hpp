@@ -30,8 +30,6 @@ struct ElasticityWindow {
 struct ElasticityPlan {
   std::vector<ElasticityWindow> windows;
 
-  bool enabled() const { return !windows.empty(); }
-
   /// True when `worker` participates in `iteration`.
   bool active(std::size_t worker, std::size_t iteration) const {
     for (const auto& window : windows) {

@@ -8,13 +8,10 @@
 #include <csignal>
 #include <ctime>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "comm/tcp_transport.hpp"
 #include "runtime/transport_provider.hpp"
-#include "stats/distributions.hpp"
-#include "stats/rng.hpp"
 #include "util/assert.hpp"
 
 namespace coupon::runtime {
@@ -72,70 +69,6 @@ void reap_with_deadline(std::vector<pid_t>& pids) {
   kill_and_reap(pids);
 }
 
-/// The worker-process body: the thread worker_loop's twin over a socket.
-/// Runs in the forked child, which inherited `scheme` and `source` from
-/// the master's memory image; never returns.
-[[noreturn]] void worker_process_main(const core::Scheme& scheme,
-                                      const core::UnitGradientSource& source,
-                                      std::size_t worker_index,
-                                      std::uint64_t seed,
-                                      const ProcessTrainOptions& options,
-                                      int stream_fd, bool announce_rank) {
-  const std::size_t rank = worker_index + 1;
-  auto transport = comm::TcpTransport::worker(stream_fd, rank,
-                                              scheme.num_workers() + 1);
-  if (announce_rank) {
-    // TCP mode: accepted connections arrive in arbitrary order, so the
-    // first frame names the rank behind this stream.
-    comm::Message hello;
-    hello.dest = 0;
-    hello.tag = comm::kTagHello;
-    hello.meta = {static_cast<std::int64_t>(rank)};
-    if (!transport->send(std::move(hello))) {
-      ::_exit(1);
-    }
-  }
-  stats::Rng rng(seed);
-  comm::Message reply;  // hoisted: encode_into reuses capacity per loop
-  for (;;) {
-    comm::RecvEvent event = transport->recv();
-    if (event.status != comm::RecvStatus::kMessage ||
-        event.message.tag == comm::kTagShutdown) {
-      ::_exit(0);  // orderly shutdown, or the master is gone (EOF)
-    }
-    if (event.message.tag != comm::kTagModelBroadcast) {
-      ::_exit(1);  // protocol violation; die visibly (master sees EOF)
-    }
-    if (options.crash && options.crash->worker == worker_index &&
-        event.message.iteration ==
-            static_cast<std::int64_t>(options.crash->iteration)) {
-      // The crash drill: a real SIGKILL mid-iteration — the broadcast
-      // was consumed, the reply will never be sent, the kernel closes
-      // the socket.
-      ::kill(::getpid(), SIGKILL);
-    }
-
-    scheme.encode_into(worker_index, source, event.message.payload, reply);
-    reply.tag = comm::kTagGradient;
-    reply.dest = 0;
-    reply.iteration = event.message.iteration;
-
-    if (options.straggler.enabled) {
-      const auto load =
-          static_cast<double>(scheme.placement().worker(worker_index).size());
-      if (load > 0.0) {
-        const auto dist = stats::ShiftedExponential::for_load(
-            options.straggler.shift_ms_per_unit, options.straggler.straggle,
-            load);
-        const double delay_ms = dist.sample(rng);
-        std::this_thread::sleep_for(
-            std::chrono::duration<double, std::milli>(delay_ms));
-      }
-    }
-    transport->send(std::move(reply));
-  }
-}
-
 }  // namespace
 
 bool ProcessCluster::supported() {
@@ -172,15 +105,6 @@ ProcessTrainResult ProcessCluster::train(opt::IterativeOptimizer& optimizer,
         "--runtime threaded");
   }
   const std::size_t n = scheme_.num_workers();
-
-  // Same per-worker seed derivation as ThreadCluster, so the injected
-  // delays of a given (seed, worker) pair agree across the two live
-  // runtimes.
-  stats::Rng seeder(straggler_seed_);
-  std::vector<std::uint64_t> seeds(n);
-  for (auto& seed : seeds) {
-    seed = seeder.next_u64();
-  }
 
   // Preferred wiring: loopback TCP through an ephemeral-port listener.
   // Sandboxes that forbid it fall back to AF_UNIX socketpairs created
@@ -238,8 +162,23 @@ ProcessTrainResult ProcessCluster::train(opt::IterativeOptimizer& optimizer,
           ::_exit(1);
         }
       }
-      worker_process_main(scheme_, source_, i, seeds[i], options, stream_fd,
-                          /*announce_rank=*/listener != nullptr);
+      auto transport = comm::TcpTransport::worker(stream_fd, i + 1, n + 1);
+      if (listener != nullptr) {
+        // TCP mode: accepted connections arrive in arbitrary order, so
+        // the first frame names the rank behind this stream.
+        comm::Message hello;
+        hello.dest = 0;
+        hello.tag = comm::kTagHello;
+        hello.meta = {static_cast<std::int64_t>(i + 1)};
+        if (!transport->send(std::move(hello))) {
+          ::_exit(1);
+        }
+      }
+      // A protocol violation dies visibly: the master sees EOF.
+      const WorkerExit exit =
+          run_worker(*transport, scheme_, source_, straggler_seed_,
+                     options.straggler, options.crash);
+      ::_exit(exit == WorkerExit::kShutdown ? 0 : 1);
     }
     pids.push_back(pid);
   }
@@ -290,6 +229,15 @@ ProcessTrainResult ProcessCluster::train(opt::IterativeOptimizer& optimizer,
     engine::TrainingEngine protocol(scheme_, source_, provider);
     result.report =
         protocol.train(optimizer, options);  // the engine::TrainOptions base
+    // The crash drill waits for its death. A scheme that recovers
+    // without the doomed worker never waits for its reply, so a death
+    // that lands after the last collection (a slow child, or a slow
+    // SIGKILL teardown) would otherwise go unobserved.
+    const std::optional<CrashPlan>& crash = options.crash;
+    if (crash && crash->iteration < result.report.iterations_run &&
+        options.elasticity.active(crash->worker, crash->iteration)) {
+      provider.await_death(crash->worker);
+    }
     result.workers_lost = provider.workers_lost();
     result.timed_out_iterations = provider.timed_out_iterations();
 

@@ -7,10 +7,11 @@
 /// one OS process per scheme worker, connects each over a loopback TCP
 /// stream (or an AF_UNIX socketpair where the sandbox forbids TCP), and
 /// runs the shared `engine::TrainingEngine` protocol through the shared
-/// `TransportProvider` over a `TcpTransport` endpoint. Workers inherit
-/// the scheme and dataset by fork — the master's memory image is the
-/// "shared filesystem"; only models and gradients cross the wire, as in
-/// the paper's MPI setup.
+/// `TransportProvider` over a `TcpTransport` endpoint; every child runs
+/// the shared `run_worker` (runtime/worker.hpp) over its stream. Workers
+/// inherit the scheme and dataset by fork — the master's memory image is
+/// the "shared filesystem"; only models and gradients cross the wire, as
+/// in the paper's MPI setup.
 ///
 /// Crash tolerance is first-class: a worker death (SIGKILL included)
 /// closes its socket, the master observes EOF mid-iteration, shrinks the
@@ -28,26 +29,13 @@
 #include "core/scheme.hpp"
 #include "engine/training_engine.hpp"
 #include "opt/optimizer.hpp"
-#include "runtime/elasticity.hpp"
-#include "runtime/straggler.hpp"
+#include "runtime/worker.hpp"
 
 namespace coupon::runtime {
 
-/// Deterministic fault injection: the named worker raises SIGKILL upon
-/// receiving the broadcast of `iteration` — a real mid-iteration crash
-/// (the master sees socket EOF while collecting), used by the recovery
-/// tests and the smoke drill.
-struct CrashPlan {
-  std::size_t worker = 0;
-  std::size_t iteration = 0;
-};
-
-/// Training-run parameters: the engine's master-side options plus the
-/// process runtime's delay injection, join/leave schedule, crash drill,
-/// and hang backstop.
-struct ProcessTrainOptions : engine::TrainOptions {
-  StragglerInjection straggler;
-  ElasticityPlan elasticity;
+/// Training-run parameters: the live-run options plus the process
+/// runtime's crash drill and hang backstop.
+struct ProcessTrainOptions : TrainOptions {
   /// Master-side wait deadline per arrival before the iteration's
   /// outstanding replies are abandoned (see TransportProvider::Options).
   std::chrono::milliseconds worker_timeout{10000};

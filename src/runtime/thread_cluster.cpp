@@ -4,8 +4,6 @@
 
 #include "comm/transport.hpp"
 #include "runtime/transport_provider.hpp"
-#include "stats/distributions.hpp"
-#include "stats/rng.hpp"
 #include "util/assert.hpp"
 
 namespace coupon::runtime {
@@ -23,11 +21,16 @@ ThreadCluster::ThreadCluster(const core::Scheme& scheme,
       source_(source),
       network_(scheme.num_workers() + 1) {
   COUPON_ASSERT(source.num_units() == scheme.num_units());
-  stats::Rng seeder(straggler_seed);
   threads_.reserve(scheme.num_workers());
   for (std::size_t i = 0; i < scheme.num_workers(); ++i) {
-    const std::uint64_t seed = seeder.next_u64();
-    threads_.emplace_back([this, i, seed] { worker_loop(i, seed); });
+    threads_.emplace_back([this, i, straggler_seed] {
+      comm::InProcessTransport endpoint(network_, i + 1);
+      const WorkerExit exit = run_worker(endpoint, scheme_, source_,
+                                         straggler_seed, straggler_,
+                                         /*crash=*/std::nullopt);
+      COUPON_ASSERT_MSG(exit == WorkerExit::kShutdown,
+                        "worker " << i << " received a non-broadcast message");
+    });
   }
 }
 
@@ -43,42 +46,6 @@ ThreadCluster::~ThreadCluster() {
     t.join();
   }
   network_.close_all();
-}
-
-void ThreadCluster::worker_loop(std::size_t worker_index,
-                                std::uint64_t seed) {
-  const std::size_t rank = worker_index + 1;
-  stats::Rng rng(seed);
-  // Hoisted reply buffer: encode_into reuses its meta/payload capacity
-  // across iterations (the move-send empties but the next assign refills
-  // without growing past the first iteration's high-water mark).
-  comm::Message reply;
-  for (;;) {
-    auto msg = network_.recv(rank);
-    if (!msg || msg->tag == comm::kTagShutdown) {
-      return;
-    }
-    COUPON_ASSERT(msg->tag == comm::kTagModelBroadcast);
-
-    scheme_.encode_into(worker_index, source_, msg->payload, reply);
-    reply.tag = comm::kTagGradient;
-    reply.source = static_cast<std::int32_t>(rank);
-    reply.dest = kMasterRank;
-    reply.iteration = msg->iteration;
-
-    if (straggler_.enabled) {
-      const auto load =
-          static_cast<double>(scheme_.placement().worker(worker_index).size());
-      if (load > 0.0) {
-        const auto dist = stats::ShiftedExponential::for_load(
-            straggler_.shift_ms_per_unit, straggler_.straggle, load);
-        const double delay_ms = dist.sample(rng);
-        std::this_thread::sleep_for(
-            std::chrono::duration<double, std::milli>(delay_ms));
-      }
-    }
-    network_.send(std::move(reply));
-  }
 }
 
 engine::TrainReport ThreadCluster::train(opt::IterativeOptimizer& optimizer,

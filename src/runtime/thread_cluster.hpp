@@ -13,10 +13,11 @@
 /// failure policy → optimizer step → loss tracking) lives in the shared
 /// `engine::TrainingEngine` (engine/training_engine.hpp), driven through
 /// the shared `TransportProvider` over an `InProcessTransport` endpoint;
-/// this class is only the worker-compute loop under them. The simulated
-/// provider (engine/simulated_provider.hpp) runs the identical protocol
-/// over simulated time, and the multi-process cluster
-/// (runtime/process_cluster.hpp) runs it over real sockets.
+/// every worker thread runs the shared `run_worker` (runtime/worker.hpp)
+/// over its own endpoint. This class only owns the fabric and the
+/// threads. The simulated provider (engine/simulated_provider.hpp) runs
+/// the identical protocol over simulated time, and the multi-process
+/// cluster (runtime/process_cluster.hpp) runs it over real sockets.
 
 #include <cstdint>
 #include <thread>
@@ -27,22 +28,9 @@
 #include "core/scheme.hpp"
 #include "engine/training_engine.hpp"
 #include "opt/optimizer.hpp"
-#include "runtime/elasticity.hpp"
-#include "runtime/straggler.hpp"
+#include "runtime/worker.hpp"
 
 namespace coupon::runtime {
-
-using engine::FailurePolicy;
-
-/// Training-run parameters: the engine's master-side options (inherited
-/// verbatim — iterations, on_failure, loss tracking) plus the threaded
-/// runtime's worker-delay injection and join/leave schedule.
-struct TrainOptions : engine::TrainOptions {
-  StragglerInjection straggler;
-  /// Planned worker absences: the master skips broadcasting to a worker
-  /// in its leave window; the idle worker thread simply blocks on recv.
-  ElasticityPlan elasticity;
-};
 
 /// A master plus `n` worker threads bound to one scheme and one dataset.
 ///
@@ -50,8 +38,9 @@ struct TrainOptions : engine::TrainOptions {
 /// class is single-use-at-a-time: call `train` from one thread.
 class ThreadCluster {
  public:
-  /// Spawns `scheme.num_workers()` worker threads. `source` must remain
-  /// valid for the cluster's lifetime.
+  /// Spawns `scheme.num_workers()` worker threads, each running
+  /// `run_worker` over its own endpoint. `source` must remain valid for
+  /// the cluster's lifetime.
   ThreadCluster(const core::Scheme& scheme,
                 const core::UnitGradientSource& source,
                 std::uint64_t straggler_seed = 42);
@@ -70,8 +59,6 @@ class ThreadCluster {
                             const TrainOptions& options);
 
  private:
-  void worker_loop(std::size_t worker_index, std::uint64_t seed);
-
   const core::Scheme& scheme_;
   const core::UnitGradientSource& source_;
   comm::InProcNetwork network_;

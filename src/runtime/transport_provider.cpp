@@ -103,6 +103,21 @@ bool TransportProvider::next_arrival(engine::ArrivalView& out) {
   return false;
 }
 
+void TransportProvider::await_death(std::size_t worker) {
+  COUPON_ASSERT(worker < num_workers_);
+  while (alive_[worker] != 0) {
+    comm::RecvEvent event =
+        options_.worker_timeout.count() > 0
+            ? master_.recv_for(options_.worker_timeout)
+            : master_.recv();
+    if (event.status == comm::RecvStatus::kPeerClosed) {
+      mark_dead(event.peer - 1);
+    } else if (event.status != comm::RecvStatus::kMessage) {
+      return;
+    }
+  }
+}
+
 engine::IterationTiming TransportProvider::end_iteration() {
   // Wall-clock phases are not separable on a live cluster: report the
   // iteration total only (compute_seconds = 0 by convention). The delta

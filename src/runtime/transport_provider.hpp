@@ -62,6 +62,12 @@ class TransportProvider final : public engine::IterationProvider {
     return alive_[worker] != 0;
   }
 
+  /// Blocks until `worker`'s EOF is observed, dropping the replies queued
+  /// ahead of it. Gives up when a wait ends without any event (after
+  /// `worker_timeout`, when positive) or the endpoint closes. For a
+  /// worker known to be dying: the crash drill.
+  void await_death(std::size_t worker);
+
  private:
   /// Handles an EOF for `worker`: permanent death, adjusting this
   /// iteration's expectation if it still owed a reply.

@@ -254,18 +254,6 @@ IterationKernel::IterationKernel(const core::Scheme& scheme,
   start_prefix_ = start_prefix_for(scheme, options.threshold_selection);
 }
 
-std::span<const IterationKernel::Arrival> IterationKernel::draw_arrivals(
-    LatencyModel& model, std::size_t iteration, stats::Rng& rng) {
-  count_ =
-      draw_arrivals_into(arrivals_, loads_, config_, model, iteration, rng);
-  // Order phase — this span is the simulated provider's contract: every
-  // arrival, fully sorted, because the provider couples the whole order
-  // with real gradient payloads. std::sort (not stable_sort, which
-  // allocates) is safe: keys are unique.
-  std::sort(arrivals_.begin(), arrivals_.begin() + count_, arrival_less);
-  return {arrivals_.data(), count_};
-}
-
 std::size_t IterationKernel::begin_lazy_arrivals(LatencyModel& model,
                                                  std::size_t iteration,
                                                  stats::Rng& rng) {

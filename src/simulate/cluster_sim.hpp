@@ -123,7 +123,7 @@ struct KernelOptions {
 class IterationKernel {
  public:
   /// One master-side arrival: a worker's message reaching the ingress
-  /// link. Produced by `draw_arrivals` in completion order.
+  /// link. Served by `sorted_arrival` in completion order.
   struct Arrival {
     double time = 0.0;     ///< broadcast_seconds + compute
     double compute = 0.0;  ///< the model draw (0 for unloaded workers)
@@ -139,32 +139,22 @@ class IterationKernel {
   IterationReport run(LatencyModel& model, std::size_t iteration,
                       stats::Rng& rng);
 
-  /// The kernel's first two phases only: draws drops + compute times in
-  /// the historical per-worker RNG order and returns the iteration's
-  /// arrivals sorted by (time, worker) — the order the master observes
-  /// them. The view is valid until the next draw_arrivals/run call.
-  /// Used by the training engine's simulated provider, which couples
-  /// these arrival times with real gradient payloads and runs the
-  /// ingress scan itself (engine/simulated_provider.hpp); `run` stays
-  /// the timing-only fast path over the same draws.
-  std::span<const Arrival> draw_arrivals(LatencyModel& model,
-                                         std::size_t iteration,
-                                         stats::Rng& rng);
-
-  /// Lazy variant of `draw_arrivals` for consumers that stop early (the
-  /// simulated provider stops at recovery, typically after a small
-  /// prefix). Draws the iteration's arrivals in the same RNG order but
-  /// sorts only the kernel's selection prefix up front; `sorted_arrival`
-  /// then serves the k-th earliest arrival, extending the sorted prefix
-  /// geometrically exactly like `run`'s selection phase. Unique (time,
-  /// worker) keys make every served prefix bit-identical to the full
-  /// sort's. Returns the number of arrivals this iteration.
+  /// The kernel's first two phases for consumers that stop early — the
+  /// simulated provider (engine/simulated_provider.hpp), which couples
+  /// these arrival times with real gradient payloads, runs the ingress
+  /// scan itself and stops at recovery. Draws drops + compute times in
+  /// the historical per-worker RNG order but sorts only the kernel's
+  /// selection prefix up front; `sorted_arrival` then serves the k-th
+  /// earliest arrival, extending the sorted prefix geometrically exactly
+  /// like `run`'s selection phase. Unique (time, worker) keys make every
+  /// served prefix bit-identical to the full sort's. Returns the number
+  /// of arrivals this iteration.
   std::size_t begin_lazy_arrivals(LatencyModel& model, std::size_t iteration,
                                   stats::Rng& rng);
 
   /// The k-th earliest arrival of the current lazy iteration. Requires
   /// `k < begin_lazy_arrivals(...)`; invalidated by the next
-  /// draw_arrivals/begin_lazy_arrivals/run call.
+  /// begin_lazy_arrivals/run call.
   const Arrival& sorted_arrival(std::size_t k);
 
   /// Master-ingress occupancy of worker `i`'s message, in seconds

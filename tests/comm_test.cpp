@@ -28,7 +28,7 @@ Message sample_message() {
   return m;
 }
 
-// --- serialization ------------------------------------------------------------
+// --- serialization -----------------------------------------------------------
 
 TEST(Serialization, RoundTripPreservesEverything) {
   const Message m = sample_message();
@@ -127,27 +127,26 @@ TEST(Serialization, FailedParseLeavesOutputUntouched) {
   EXPECT_EQ(out, before);
 }
 
-// --- blocking queue -------------------------------------------------------------
+// --- blocking queue ----------------------------------------------------------
 
 TEST(BlockingQueue, FifoOrder) {
   BlockingQueue<int> q;
   q.push(1);
   q.push(2);
   q.push(3);
-  EXPECT_EQ(q.pop().value(), 1);
-  EXPECT_EQ(q.pop().value(), 2);
-  EXPECT_EQ(q.pop().value(), 3);
-}
-
-TEST(BlockingQueue, TryPopOnEmptyReturnsNullopt) {
-  BlockingQueue<int> q;
-  EXPECT_FALSE(q.try_pop().has_value());
+  int out = 0;
+  for (int expected : {1, 2, 3}) {
+    ASSERT_EQ(q.pop(out), PopStatus::kItem);
+    EXPECT_EQ(out, expected);
+  }
 }
 
 TEST(BlockingQueue, PopForTimesOut) {
   BlockingQueue<int> q;
-  const auto result = q.pop_for(std::chrono::milliseconds(10));
-  EXPECT_FALSE(result.has_value());
+  int out = -1;
+  EXPECT_EQ(q.pop_for(std::chrono::milliseconds(10), out),
+            PopStatus::kTimeout);
+  EXPECT_EQ(out, -1);  // untouched
 }
 
 TEST(BlockingQueue, CloseRejectsPushAndDrains) {
@@ -155,16 +154,18 @@ TEST(BlockingQueue, CloseRejectsPushAndDrains) {
   q.push(7);
   q.close();
   EXPECT_FALSE(q.push(8));
-  EXPECT_EQ(q.pop().value(), 7);  // drains existing items
-  EXPECT_FALSE(q.pop().has_value());
-  EXPECT_TRUE(q.closed());
+  int out = 0;
+  EXPECT_EQ(q.pop(out), PopStatus::kItem);  // drains existing items
+  EXPECT_EQ(out, 7);
+  EXPECT_EQ(q.pop(out), PopStatus::kClosed);
 }
 
 TEST(BlockingQueue, CloseWakesBlockedConsumer) {
   BlockingQueue<int> q;
   std::atomic<bool> woke{false};
   std::thread consumer([&] {
-    EXPECT_FALSE(q.pop().has_value());
+    int out = 0;
+    EXPECT_EQ(q.pop(out), PopStatus::kClosed);
     woke = true;
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -183,8 +184,9 @@ TEST(BlockingQueue, ConcurrentProducersConsumersConserveItems) {
   std::vector<std::thread> consumers;
   for (int c = 0; c < 3; ++c) {
     consumers.emplace_back([&] {
-      while (auto v = q.pop()) {
-        sum += *v;
+      int v = 0;
+      while (q.pop(v) == PopStatus::kItem) {
+        sum += v;
         ++received;
       }
     });
@@ -200,10 +202,7 @@ TEST(BlockingQueue, ConcurrentProducersConsumersConserveItems) {
   for (auto& t : producers) {
     t.join();
   }
-  // Wait for drain, then close to release consumers.
-  while (q.size() > 0) {
-    std::this_thread::yield();
-  }
+  // Closing releases the consumers only after they drain every item.
   q.close();
   for (auto& t : consumers) {
     t.join();
@@ -212,82 +211,6 @@ TEST(BlockingQueue, ConcurrentProducersConsumersConserveItems) {
   EXPECT_EQ(received.load(), n);
   EXPECT_EQ(sum.load(), n * (n - 1) / 2);
 }
-
-// --- network --------------------------------------------------------------------
-
-TEST(InProcNetwork, DeliversToDestination) {
-  InProcNetwork net(3);
-  Message m = sample_message();
-  m.source = 1;
-  m.dest = 2;
-  ASSERT_TRUE(net.send(m));
-  const auto got = net.recv(2);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(*got, m);
-}
-
-TEST(InProcNetwork, InOrderDeliveryPerSender) {
-  InProcNetwork net(2);
-  for (int i = 0; i < 10; ++i) {
-    Message m;
-    m.source = 0;
-    m.dest = 1;
-    m.iteration = i;
-    net.send(std::move(m));
-  }
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(net.recv(1)->iteration, i);
-  }
-}
-
-TEST(InProcNetwork, TryRecvEmptyMailbox) {
-  InProcNetwork net(2);
-  EXPECT_FALSE(net.try_recv(0).has_value());
-}
-
-TEST(InProcNetwork, RecvForTimesOut) {
-  InProcNetwork net(1);
-  EXPECT_FALSE(net.recv_for(0, std::chrono::milliseconds(10)).has_value());
-}
-
-TEST(InProcNetwork, StatsCountTraffic) {
-  InProcNetwork net(2);
-  Message m = sample_message();
-  m.source = 0;
-  m.dest = 1;
-  net.send(m);
-  net.send(m);
-  ASSERT_TRUE(net.recv(1).has_value());
-  const auto s0 = net.stats(0);
-  const auto s1 = net.stats(1);
-  EXPECT_EQ(s0.messages_sent, 2u);
-  EXPECT_EQ(s0.bytes_sent, 2 * m.wire_size());
-  EXPECT_EQ(s0.payload_units_sent, 2 * m.payload.size());
-  EXPECT_EQ(s1.messages_received, 1u);
-}
-
-TEST(InProcNetwork, BadRankAsserts) {
-  InProcNetwork net(2);
-  Message m;
-  m.source = 0;
-  m.dest = 5;
-  EXPECT_THROW(net.send(std::move(m)), coupon::AssertionError);
-  Message m2;
-  m2.source = -1;
-  m2.dest = 0;
-  EXPECT_THROW(net.send(std::move(m2)), coupon::AssertionError);
-}
-
-TEST(InProcNetwork, SendToClosedRankReturnsFalse) {
-  InProcNetwork net(2);
-  net.close_rank(1);
-  Message m;
-  m.source = 0;
-  m.dest = 1;
-  EXPECT_FALSE(net.send(std::move(m)));
-}
-
-// --- status pops (EOF distinct from timeout) ------------------------------------
 
 TEST(BlockingQueue, StatusPopDistinguishesItemTimeoutClosed) {
   BlockingQueue<int> q;
@@ -306,30 +229,92 @@ TEST(BlockingQueue, StatusPopDistinguishesItemTimeoutClosed) {
             PopStatus::kClosed);
 }
 
-TEST(InProcNetwork, StatusRecvDistinguishesTimeoutFromClosed) {
-  InProcNetwork net(2);
-  Message out;
-  EXPECT_EQ(net.recv_for(1, std::chrono::milliseconds(10), out),
-            PopStatus::kTimeout);
+// --- network (received through each rank's endpoint) -------------------------
+
+TEST(InProcNetwork, DeliversToDestination) {
+  InProcNetwork net(3);
+  InProcessTransport to(net, 2);
   Message m = sample_message();
-  m.source = 0;
-  m.dest = 1;
-  net.send(m);
-  EXPECT_EQ(net.recv(1, out), PopStatus::kItem);
-  EXPECT_EQ(out, m);
-  net.close_rank(1);
-  EXPECT_EQ(net.recv(1, out), PopStatus::kClosed);
-  EXPECT_EQ(net.recv_for(1, std::chrono::milliseconds(10), out),
-            PopStatus::kClosed);
+  m.source = 1;
+  m.dest = 2;
+  ASSERT_TRUE(net.send(m));
+  const RecvEvent got = to.recv();
+  ASSERT_EQ(got.status, RecvStatus::kMessage);
+  EXPECT_EQ(got.peer, 1u);
+  EXPECT_EQ(got.message, m);
 }
 
-// --- Transport seam -------------------------------------------------------------
+TEST(InProcNetwork, InOrderDeliveryPerSender) {
+  InProcNetwork net(2);
+  InProcessTransport sender(net, 0);
+  InProcessTransport receiver(net, 1);
+  for (int i = 0; i < 10; ++i) {
+    Message m;
+    m.dest = 1;
+    m.iteration = i;
+    sender.send(std::move(m));
+  }
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_EQ(receiver.recv().message.iteration, i);
+  }
+}
+
+TEST(InProcNetwork, RecvForTimesOut) {
+  InProcNetwork net(1);
+  InProcessTransport only(net, 0);
+  EXPECT_EQ(only.recv_for(std::chrono::milliseconds(10)).status,
+            RecvStatus::kTimeout);
+}
+
+TEST(InProcNetwork, BadRankAsserts) {
+  InProcNetwork net(2);
+  InProcessTransport master(net, 0);
+  Message m;
+  m.dest = 5;
+  EXPECT_THROW(master.send(std::move(m)), coupon::AssertionError);
+  Message m2;
+  m2.source = -1;
+  m2.dest = 0;
+  EXPECT_THROW(net.send(std::move(m2)), coupon::AssertionError);
+  EXPECT_THROW(InProcessTransport(net, 2), coupon::AssertionError);
+}
+
+TEST(InProcNetwork, SendToClosedRankReturnsFalse) {
+  InProcNetwork net(2);
+  InProcessTransport master(net, 0);
+  InProcessTransport worker(net, 1);
+  worker.close();
+  Message m;
+  m.dest = 1;
+  EXPECT_FALSE(master.send(std::move(m)));
+  EXPECT_EQ(worker.recv().status, RecvStatus::kClosed);
+}
+
+TEST(InProcNetwork, StatusRecvDistinguishesTimeoutFromClosed) {
+  InProcNetwork net(2);
+  InProcessTransport master(net, 0);
+  InProcessTransport worker(net, 1);
+  EXPECT_EQ(worker.recv_for(std::chrono::milliseconds(10)).status,
+            RecvStatus::kTimeout);
+  Message m = sample_message();
+  m.dest = 1;
+  master.send(m);
+  const RecvEvent got = worker.recv();
+  ASSERT_EQ(got.status, RecvStatus::kMessage);
+  m.source = 0;  // stamped by the sending endpoint
+  EXPECT_EQ(got.message, m);
+  net.close_rank(1);
+  EXPECT_EQ(worker.recv().status, RecvStatus::kClosed);
+  EXPECT_EQ(worker.recv_for(std::chrono::milliseconds(10)).status,
+            RecvStatus::kClosed);
+}
+
+// --- Transport seam ----------------------------------------------------------
 
 TEST(InProcessTransport, RoundTripBothDirections) {
   InProcNetwork net(2);
   InProcessTransport master(net, 0);
   InProcessTransport worker(net, 1);
-  EXPECT_EQ(master.kind(), "inproc");
   EXPECT_EQ(master.rank(), 0u);
   EXPECT_EQ(master.num_ranks(), 2u);
 
@@ -358,7 +343,7 @@ TEST(InProcessTransport, TimeoutAndCloseStatuses) {
   EXPECT_EQ(master.recv().status, RecvStatus::kClosed);
 }
 
-// --- framed stream transport ----------------------------------------------------
+// --- framed stream transport -------------------------------------------------
 
 TEST(TcpTransport, FramingRoundTripOverSocketpair) {
   if (!socketpair_available()) {
@@ -431,7 +416,6 @@ TEST(TcpTransport, MasterWorkerRoundTripAndPeerClosed) {
   auto master = TcpTransport::master({a[0], b[0]});
   auto worker1 = TcpTransport::worker(a[1], 1, 3);
   auto worker2 = TcpTransport::worker(b[1], 2, 3);
-  EXPECT_EQ(master->kind(), "tcp");
   EXPECT_EQ(master->num_ranks(), 3u);
 
   Message m = sample_message();
@@ -462,26 +446,6 @@ TEST(TcpTransport, MasterWorkerRoundTripAndPeerClosed) {
   master->close();
   EXPECT_EQ(worker1->recv().status, RecvStatus::kClosed);
   EXPECT_EQ(master->recv().status, RecvStatus::kClosed);
-}
-
-TEST(TcpTransport, StatsCountTraffic) {
-  if (!socketpair_available()) {
-    GTEST_SKIP() << "no AF_UNIX socketpair in this sandbox";
-  }
-  int fds[2];
-  ASSERT_TRUE(make_stream_socketpair(fds));
-  auto master = TcpTransport::master({fds[0]});
-  auto worker = TcpTransport::worker(fds[1], 1, 2);
-  Message m = sample_message();
-  const std::size_t wire = m.wire_size();
-  const std::size_t units = m.payload.size();
-  m.dest = 1;
-  ASSERT_TRUE(master->send(std::move(m)));
-  ASSERT_EQ(worker->recv().status, RecvStatus::kMessage);
-  EXPECT_EQ(master->stats().messages_sent, 1u);
-  EXPECT_EQ(master->stats().bytes_sent, wire);
-  EXPECT_EQ(master->stats().payload_units_sent, units);
-  EXPECT_EQ(worker->stats().messages_received, 1u);
 }
 
 TEST(TcpTransport, LoopbackListenerRoundTrip) {
@@ -515,22 +479,23 @@ TEST(TcpTransport, LoopbackListenerRoundTrip) {
 TEST(InProcNetwork, CrossThreadPingPong) {
   InProcNetwork net(2);
   std::thread peer([&net] {
-    auto m = net.recv(1);
-    ASSERT_TRUE(m.has_value());
+    InProcessTransport endpoint(net, 1);
+    const RecvEvent ping = endpoint.recv();
+    ASSERT_EQ(ping.status, RecvStatus::kMessage);
     Message reply;
-    reply.source = 1;
     reply.dest = 0;
-    reply.iteration = m->iteration + 1;
-    net.send(std::move(reply));
+    reply.iteration = ping.message.iteration + 1;
+    endpoint.send(std::move(reply));
   });
+  InProcessTransport master(net, 0);
   Message ping;
-  ping.source = 0;
   ping.dest = 1;
   ping.iteration = 41;
-  net.send(std::move(ping));
-  const auto pong = net.recv(0);
-  ASSERT_TRUE(pong.has_value());
-  EXPECT_EQ(pong->iteration, 42);
+  master.send(std::move(ping));
+  const RecvEvent pong = master.recv();
+  ASSERT_EQ(pong.status, RecvStatus::kMessage);
+  EXPECT_EQ(pong.peer, 1u);
+  EXPECT_EQ(pong.message.iteration, 42);
   peer.join();
 }
 

@@ -1,16 +1,21 @@
 // End-to-end tests of the threaded runtime: distributed GD over real
 // worker threads must reproduce serial training exactly (up to decode
 // round-off), for every scheme, with and without injected stragglers.
+// Also unit tests of the worker loop both live runtimes share, driven
+// over an in-process endpoint pair.
 
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <future>
 
 #include "core/core.hpp"
 #include "data/synthetic.hpp"
 #include "linalg/vector_ops.hpp"
 #include "opt/opt.hpp"
+#include "comm/transport.hpp"
 #include "runtime/runtime.hpp"
+#include "runtime/worker.hpp"
 #include "stats/rng.hpp"
 
 namespace coupon::runtime {
@@ -336,6 +341,100 @@ TEST(Runtime, ReusableForConsecutiveTrainingRuns) {
                             opt::LearningRateSchedule::constant(0.1));
   const auto r2 = cluster.train(opt2, options);
   EXPECT_EQ(r1.weights, r2.weights);  // identical deterministic runs
+}
+
+// --- the shared worker loop --------------------------------------------------
+
+/// Worker `kWorker` of a bcc cluster running `run_worker` on its own
+/// thread over an in-process endpoint, with the master's endpoint at
+/// hand.
+class WorkerLoopTest : public ::testing::Test {
+ protected:
+  static constexpr std::size_t kWorker = 3;
+
+  WorkerLoopTest()
+      : setup_(make_setup("bcc")),
+        network_(kWorkers + 1),
+        master_(network_, 0),
+        endpoint_(network_, kWorker + 1) {}
+
+  // Releases a worker still blocked in recv when a test bails out early.
+  ~WorkerLoopTest() override { endpoint_.close(); }
+
+  void start() {
+    exit_ = std::async(std::launch::async, [this] {
+      return run_worker(endpoint_, *setup_.scheme, *setup_.source,
+                        /*straggler_seed=*/42, straggler_,
+                        /*crash=*/std::nullopt);
+    });
+  }
+
+  void send(std::int32_t tag, std::int64_t iteration,
+            std::vector<double> payload = {}) {
+    comm::Message m;
+    m.dest = static_cast<std::int32_t>(kWorker + 1);
+    m.tag = tag;
+    m.iteration = iteration;
+    m.payload = std::move(payload);
+    ASSERT_TRUE(master_.send(std::move(m)));
+  }
+
+  WorkerExit join() {
+    EXPECT_EQ(exit_.wait_for(std::chrono::seconds(10)),
+              std::future_status::ready);
+    return exit_.get();
+  }
+
+  runtime::Setup setup_;
+  StragglerInjection straggler_;
+  comm::InProcNetwork network_;
+  comm::InProcessTransport master_;
+  comm::InProcessTransport endpoint_;
+  std::future<WorkerExit> exit_;
+};
+
+TEST_F(WorkerLoopTest, BroadcastGetsTheSchemesEncodedReply) {
+  straggler_ = {.enabled = true, .shift_ms_per_unit = 0.1, .straggle = 2.0};
+  start();
+  const std::vector<double> w = {0.5, -1.0, 0.25, 2.0, -0.125};
+  for (std::int64_t iteration : {0, 7}) {
+    send(comm::kTagModelBroadcast, iteration, w);
+    const comm::RecvEvent reply = master_.recv();
+    ASSERT_EQ(reply.status, comm::RecvStatus::kMessage);
+    EXPECT_EQ(reply.peer, kWorker + 1);
+    EXPECT_EQ(reply.message.source, static_cast<std::int32_t>(kWorker + 1));
+    EXPECT_EQ(reply.message.dest, 0);
+    EXPECT_EQ(reply.message.tag, comm::kTagGradient);
+    EXPECT_EQ(reply.message.iteration, iteration);
+    comm::Message expected = setup_.scheme->encode(kWorker, *setup_.source, w);
+    expected.source = static_cast<std::int32_t>(kWorker + 1);
+    expected.dest = 0;
+    expected.tag = comm::kTagGradient;
+    expected.iteration = iteration;
+    EXPECT_EQ(comm::serialize(reply.message), comm::serialize(expected));
+  }
+  send(comm::kTagShutdown, 0);
+  EXPECT_EQ(join(), WorkerExit::kShutdown);
+}
+
+TEST_F(WorkerLoopTest, ShutdownReturns) {
+  start();
+  send(comm::kTagShutdown, 0);
+  EXPECT_EQ(join(), WorkerExit::kShutdown);
+  EXPECT_EQ(master_.recv_for(std::chrono::milliseconds(10)).status,
+            comm::RecvStatus::kTimeout);  // no reply to a shutdown
+}
+
+TEST_F(WorkerLoopTest, ClosedEndpointReturnsAsShutdown) {
+  start();
+  endpoint_.close();  // the master is gone: nothing will ever arrive
+  EXPECT_EQ(join(), WorkerExit::kShutdown);
+}
+
+TEST_F(WorkerLoopTest, NonBroadcastTagIsAProtocolViolation) {
+  start();
+  send(comm::kTagGradient, 0, {1.0});
+  EXPECT_EQ(join(), WorkerExit::kProtocolViolation);
 }
 
 }  // namespace
