@@ -20,7 +20,7 @@
 /// Models are looked up by the scheme's registry name through
 /// `AnalyticModelRegistry`, mirroring `core::SchemeRegistry`: adding an
 /// analytic model for a new scheme is one `add()` call, no switch
-/// statements. All five built-in schemes ship with models.
+/// statements. All eight built-in schemes ship with models.
 
 #include <memory>
 #include <optional>
@@ -66,7 +66,7 @@ class SchemeRuntimeModel {
       const core::Scheme& scheme) const = 0;
 };
 
-/// Process-wide scheme-name -> analytic-model registry. The five
+/// Process-wide scheme-name -> analytic-model registry. The eight
 /// built-in models are registered on first access.
 class AnalyticModelRegistry {
  public:

@@ -3,95 +3,13 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/collectors.hpp"
 #include "core/theory.hpp"
-#include "linalg/vector_ops.hpp"
 #include "util/assert.hpp"
 
 namespace coupon::core {
 
 namespace {
-
-/// Coverage collector over batches. Kept payloads are stored per batch
-/// and summed in batch order at decode time, so the decoded gradient is
-/// bit-identical regardless of message arrival order (the threaded
-/// runtime's arrival order depends on OS scheduling).
-class BccCollector final : public Collector {
- public:
-  /// `batch_units[b]` is the number of units in batch b (the last batch
-  /// may be short); needed to report how many units a partial decode
-  /// covers.
-  explicit BccCollector(std::vector<std::size_t> batch_units)
-      : batch_units_(std::move(batch_units)),
-        slots_(batch_units_.size()),
-        seen_(batch_units_.size(), false) {}
-
-  bool offer(std::size_t worker, std::span<const std::int64_t> meta,
-             std::span<const double> payload) override {
-    (void)worker;
-    if (ready_) {
-      return false;
-    }
-    note_offer(1.0);
-    COUPON_ASSERT_MSG(meta.size() == 1, "BCC message meta must be {batch}");
-    const auto batch = static_cast<std::size_t>(meta[0]);
-    COUPON_ASSERT(batch < slots_.size());
-    if (seen_[batch]) {
-      return false;  // duplicate coupon: the master discards it
-    }
-    seen_[batch] = true;
-    ++covered_;
-    if (!payload.empty()) {
-      slots_[batch].assign(payload.begin(), payload.end());
-    }
-    ready_ = covered_ == slots_.size();
-    return true;
-  }
-
-  bool ready() const override { return ready_; }
-
-  void decode_sum(std::span<double> out) const override {
-    COUPON_ASSERT_MSG(ready_, "decode before coverage");
-    linalg::fill(out, 0.0);
-    for (const auto& slot : slots_) {
-      COUPON_ASSERT_MSG(!slot.empty(), "decode without payloads");
-      COUPON_ASSERT(slot.size() == out.size());
-      linalg::axpy(1.0, slot, out);
-    }
-  }
-
-  bool supports_partial_decode() const override { return true; }
-
-  std::size_t decode_partial_sum(std::span<double> out) const override {
-    linalg::fill(out, 0.0);
-    std::size_t units = 0;
-    for (std::size_t b = 0; b < slots_.size(); ++b) {
-      if (!seen_[b]) {
-        continue;
-      }
-      COUPON_ASSERT_MSG(!slots_[b].empty(), "partial decode without payloads");
-      COUPON_ASSERT(slots_[b].size() == out.size());
-      linalg::axpy(1.0, slots_[b], out);
-      units += batch_units_[b];
-    }
-    return units;
-  }
-
- private:
-  void do_reset() override {
-    for (auto& slot : slots_) {
-      slot.clear();
-    }
-    std::fill(seen_.begin(), seen_.end(), false);
-    covered_ = 0;
-    ready_ = false;
-  }
-
-  std::vector<std::size_t> batch_units_;
-  std::vector<std::vector<double>> slots_;
-  std::vector<bool> seen_;
-  std::size_t covered_ = 0;
-  bool ready_ = false;
-};
 
 data::Placement draw_placement(std::size_t num_workers,
                                const data::BatchPartition& partition,
@@ -126,25 +44,13 @@ BccScheme::BccScheme(std::size_t num_workers, std::size_t num_units,
                               rng, batch_choice_);
 }
 
-comm::Message BccScheme::encode(std::size_t worker,
-                                const UnitGradientSource& source,
-                                std::span<const double> w) const {
-  comm::Message msg;
-  msg.tag = comm::kTagGradient;
-  encode_into(worker, source, w, msg);
-  return msg;
-}
-
 void BccScheme::encode_into(std::size_t worker,
                             const UnitGradientSource& source,
                             std::span<const double> w,
                             comm::Message& out) const {
   COUPON_ASSERT(worker < num_workers());
   COUPON_ASSERT(source.num_units() == num_units());
-  out.meta.assign(1, static_cast<std::int64_t>(batch_choice_[worker]));
-  out.payload.assign(source.dim(), 0.0);
-  source.accumulate_units_gradient(placement_.worker(worker), w,
-                                   out.payload);
+  encode_sum(batch_choice_[worker], placement_.worker(worker), source, w, out);
 }
 
 std::vector<std::int64_t> BccScheme::message_meta(std::size_t worker) const {
@@ -157,7 +63,8 @@ std::unique_ptr<Collector> BccScheme::make_collector() const {
   for (std::size_t b = 0; b < batch_units.size(); ++b) {
     batch_units[b] = partition_.actual_size(b);
   }
-  return std::make_unique<BccCollector>(std::move(batch_units));
+  return std::make_unique<CoverageCollector>(std::move(batch_units),
+                                             num_workers(), 0);
 }
 
 std::optional<double> BccScheme::expected_recovery_threshold() const {

@@ -32,8 +32,6 @@ class BccScheme final : public Scheme {
   std::string_view registry_name() const override { return "bcc"; }
   std::string_view name() const override { return "BCC"; }
 
-  comm::Message encode(std::size_t worker, const UnitGradientSource& source,
-                       std::span<const double> w) const override;
   void encode_into(std::size_t worker, const UnitGradientSource& source,
                    std::span<const double> w,
                    comm::Message& out) const override;

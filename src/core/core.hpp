@@ -5,6 +5,7 @@
 
 #include "core/bcc.hpp"                     // IWYU pragma: export
 #include "core/cached_gradient_source.hpp"  // IWYU pragma: export
+#include "core/collectors.hpp"              // IWYU pragma: export
 #include "core/cyclic_repetition.hpp"       // IWYU pragma: export
 #include "core/fractional_repetition.hpp"   // IWYU pragma: export
 #include "core/gradient_source.hpp"         // IWYU pragma: export

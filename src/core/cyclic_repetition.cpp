@@ -1,8 +1,6 @@
 #include "core/cyclic_repetition.hpp"
 
-#include <algorithm>
-#include <cmath>
-
+#include "core/collectors.hpp"
 #include "linalg/solve.hpp"
 #include "linalg/vector_ops.hpp"
 #include "util/assert.hpp"
@@ -12,96 +10,41 @@ namespace coupon::core {
 namespace {
 
 /// Keeps the first n - s distinct workers' messages, then decodes via the
-/// scheme's coding matrix. Kept payloads live in fixed slots (paired with
-/// `workers_` by index) and all decode temporaries are reusable scratch,
-/// so a reset-and-reused collector allocates nothing once warm.
-class CrCollector final : public Collector {
+/// scheme's coding matrix. The kept set is walked in ascending worker
+/// order, so the coefficient solve and the combination order do not
+/// depend on arrival order; decode scratch is reused, so a
+/// reset-and-reused collector allocates nothing once warm.
+class CrCollector final : public WorkerSlotCollector {
  public:
   CrCollector(const CyclicRepetitionScheme& scheme, std::size_t needed)
-      : scheme_(scheme), needed_(needed), slots_(needed) {
-    workers_.reserve(needed);
+      : WorkerSlotCollector(scheme.num_workers(), needed, 1),
+        scheme_(scheme) {
+    kept_.reserve(needed);
   }
-
-  bool offer(std::size_t worker, std::span<const std::int64_t> meta,
-             std::span<const double> payload) override {
-    (void)meta;
-    if (ready_) {
-      return false;
-    }
-    note_offer(1.0);
-    for (std::size_t w : workers_) {
-      if (w == worker) {
-        return false;  // duplicate delivery
-      }
-    }
-    workers_.push_back(worker);
-    if (!payload.empty()) {
-      slots_[workers_.size() - 1].assign(payload.begin(), payload.end());
-      ++filled_;
-    }
-    ready_ = workers_.size() >= needed_;
-    return true;
-  }
-
-  bool ready() const override { return ready_; }
 
   void decode_sum(std::span<double> out) const override {
-    COUPON_ASSERT_MSG(ready_, "decode before n - s workers reported");
-    COUPON_ASSERT_MSG(filled_ == workers_.size(), "decode without payloads");
-    // Sort the kept set by worker index so the decode (coefficient solve
-    // and the combination order) is independent of arrival order.
-    perm_.resize(workers_.size());
-    for (std::size_t k = 0; k < perm_.size(); ++k) {
-      perm_[k] = k;
+    COUPON_ASSERT_MSG(ready(), "decode before n - s workers reported");
+    kept_.clear();
+    for (std::size_t i = 0; i < num_workers(); ++i) {
+      if (heard(i)) {
+        kept_.push_back(i);
+      }
     }
-    std::sort(perm_.begin(), perm_.end(),
-              [this](std::size_t a, std::size_t b) {
-                return workers_[a] < workers_[b];
-              });
-    sorted_workers_.resize(workers_.size());
-    for (std::size_t k = 0; k < perm_.size(); ++k) {
-      sorted_workers_[k] = workers_[perm_[k]];
-    }
-    const bool solved =
-        scheme_.decoding_coefficients_into(sorted_workers_, ws_);
+    const bool solved = scheme_.decoding_coefficients_into(kept_, ws_);
     COUPON_ASSERT_MSG(solved, "CR decode solve failed");
     linalg::fill(out, 0.0);
-    for (std::size_t k = 0; k < perm_.size(); ++k) {
-      const auto& payload = slots_[perm_[k]];
-      COUPON_ASSERT(payload.size() == out.size());
-      linalg::axpy(ws_.coeffs[k], payload, out);
+    for (std::size_t k = 0; k < kept_.size(); ++k) {
+      const auto row = slot(kept_[k]);
+      COUPON_ASSERT(row.size() == out.size());
+      linalg::axpy(ws_.coeffs[k], row, out);
     }
   }
 
  private:
-  void do_reset() override {
-    workers_.clear();
-    filled_ = 0;
-    ready_ = false;
-  }
-
   const CyclicRepetitionScheme& scheme_;
-  std::size_t needed_;
-  bool ready_ = false;
-  std::size_t filled_ = 0;
-  std::vector<std::size_t> workers_;
-  std::vector<std::vector<double>> slots_;  // slots_[k] pairs workers_[k]
-  mutable std::vector<std::size_t> perm_;
-  mutable std::vector<std::size_t> sorted_workers_;
+  mutable std::vector<std::size_t> kept_;
   mutable CrDecodeWorkspace ws_;
 };
-
-data::Placement cyclic_placement(std::size_t n, std::size_t r) {
-  data::Placement placement(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    auto& g = placement.worker(i);
-    g.reserve(r);
-    for (std::size_t t = 0; t < r; ++t) {
-      g.push_back((i + t) % n);
-    }
-  }
-  return placement;
-}
 
 /// One attempt at Tandon et al.'s Algorithm 2. Returns nullopt when an
 /// inner s x s system is singular (probability-zero event; caller redraws).
@@ -153,7 +96,7 @@ std::optional<linalg::Matrix> try_build_coding_matrix(std::size_t n,
 CyclicRepetitionScheme::CyclicRepetitionScheme(std::size_t num_workers,
                                                std::size_t load,
                                                stats::Rng& rng)
-    : Scheme(cyclic_placement(num_workers, load)), load_(load) {
+    : Scheme(data::cyclic_windows(num_workers, load)), load_(load) {
   COUPON_ASSERT_MSG(load >= 1 && load <= num_workers,
                     "CR load must satisfy 1 <= r <= n");
   constexpr int kMaxTries = 16;
@@ -167,15 +110,6 @@ CyclicRepetitionScheme::CyclicRepetitionScheme(std::size_t num_workers,
   COUPON_ASSERT_MSG(false, "CR coding matrix construction failed "
                                << kMaxTries << " times (vanishing-probability "
                                << "event); check the RNG");
-}
-
-comm::Message CyclicRepetitionScheme::encode(std::size_t worker,
-                                             const UnitGradientSource& source,
-                                             std::span<const double> w) const {
-  comm::Message msg;
-  msg.tag = comm::kTagGradient;
-  encode_into(worker, source, w, msg);
-  return msg;
 }
 
 void CyclicRepetitionScheme::encode_into(std::size_t worker,

@@ -49,8 +49,6 @@ class CyclicRepetitionScheme final : public Scheme {
   std::string_view registry_name() const override { return "cr"; }
   std::string_view name() const override { return "cyclic repetition"; }
 
-  comm::Message encode(std::size_t worker, const UnitGradientSource& source,
-                       std::span<const double> w) const override;
   void encode_into(std::size_t worker, const UnitGradientSource& source,
                    std::span<const double> w,
                    comm::Message& out) const override;

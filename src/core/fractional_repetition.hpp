@@ -27,8 +27,6 @@ class FractionalRepetitionScheme final : public Scheme {
   std::string_view registry_name() const override { return "fr"; }
   std::string_view name() const override { return "fractional repetition"; }
 
-  comm::Message encode(std::size_t worker, const UnitGradientSource& source,
-                       std::span<const double> w) const override;
   void encode_into(std::size_t worker, const UnitGradientSource& source,
                    std::span<const double> w,
                    comm::Message& out) const override;

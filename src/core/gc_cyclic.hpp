@@ -38,8 +38,6 @@ class GcCyclicScheme final : public Scheme {
   std::string_view registry_name() const override { return "gc_cyclic"; }
   std::string_view name() const override { return "gradient coding (cyclic)"; }
 
-  comm::Message encode(std::size_t worker, const UnitGradientSource& source,
-                       std::span<const double> w) const override;
   void encode_into(std::size_t worker, const UnitGradientSource& source,
                    std::span<const double> w,
                    comm::Message& out) const override;

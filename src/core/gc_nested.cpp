@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/collectors.hpp"
 #include "linalg/vector_ops.hpp"
 #include "util/assert.hpp"
 
@@ -9,45 +10,18 @@ namespace coupon::core {
 
 namespace {
 
-/// Slot-per-worker collector: keeps each arriving worker's full
-/// L-component payload, flips ready at n - r + 1 distinct workers, and
-/// decodes by walking the ladder from the narrowest width up to the
-/// first width with an intact residue class in the arrival set.
-class GcNestedCollector final : public Collector {
+/// Flips ready at n - r + 1 distinct workers and decodes by walking the
+/// ladder from the narrowest width up to the first width with an intact
+/// residue class in the arrival set.
+class GcNestedCollector final : public WorkerSlotCollector {
  public:
   GcNestedCollector(std::size_t num_workers, std::size_t wait_quota,
                     std::vector<std::size_t> widths)
-      : wait_quota_(wait_quota),
-        widths_(std::move(widths)),
-        slots_(num_workers),
-        heard_(num_workers, false) {}
-
-  bool offer(std::size_t worker, std::span<const std::int64_t> meta,
-             std::span<const double> payload) override {
-    (void)meta;
-    if (ready_) {
-      return false;
-    }
-    COUPON_ASSERT(worker < heard_.size());
-    note_offer(static_cast<double>(widths_.size()));
-    if (heard_[worker]) {
-      return false;  // duplicate delivery of the same worker's message
-    }
-    heard_[worker] = true;
-    ++count_;
-    if (!payload.empty()) {
-      COUPON_ASSERT_MSG(payload.size() % widths_.size() == 0,
-                        "payload not a whole number of level components");
-      slots_[worker].assign(payload.begin(), payload.end());
-    }
-    ready_ = count_ >= wait_quota_;
-    return true;
-  }
-
-  bool ready() const override { return ready_; }
+      : WorkerSlotCollector(num_workers, wait_quota, widths.size()),
+        widths_(std::move(widths)) {}
 
   void decode_sum(std::span<double> out) const override {
-    COUPON_ASSERT_MSG(ready_, "decode before the wait quota was met");
+    COUPON_ASSERT_MSG(ready(), "decode before the wait quota was met");
     const std::size_t level = decode_level();
     COUPON_ASSERT_MSG(level < widths_.size(),
                       "no intact residue class at the wait quota");
@@ -55,12 +29,10 @@ class GcNestedCollector final : public Collector {
     const std::size_t c = intact_class(w);
     const std::size_t dim = out.size();
     linalg::fill(out, 0.0);
-    for (std::size_t i = c; i < heard_.size(); i += w) {
-      COUPON_ASSERT_MSG(!slots_[i].empty(), "decode without payloads");
-      COUPON_ASSERT(slots_[i].size() == widths_.size() * dim);
-      linalg::axpy(1.0,
-                   std::span<const double>(slots_[i]).subspan(level * dim, dim),
-                   out);
+    for (std::size_t i = c; i < num_workers(); i += w) {
+      const auto row = slot(i);
+      COUPON_ASSERT(row.size() == widths_.size() * dim);
+      linalg::axpy(1.0, row.subspan(level * dim, dim), out);
     }
   }
 
@@ -81,8 +53,8 @@ class GcNestedCollector final : public Collector {
   std::size_t intact_class(std::size_t w) const {
     for (std::size_t c = 0; c < w; ++c) {
       bool intact = true;
-      for (std::size_t i = c; i < heard_.size() && intact; i += w) {
-        intact = heard_[i];
+      for (std::size_t i = c; i < num_workers() && intact; i += w) {
+        intact = heard(i);
       }
       if (intact) {
         return c;
@@ -91,34 +63,8 @@ class GcNestedCollector final : public Collector {
     return w;
   }
 
-  void do_reset() override {
-    for (auto& slot : slots_) {
-      slot.clear();
-    }
-    std::fill(heard_.begin(), heard_.end(), false);
-    count_ = 0;
-    ready_ = false;
-  }
-
-  std::size_t wait_quota_;
   std::vector<std::size_t> widths_;
-  std::vector<std::vector<double>> slots_;
-  std::vector<bool> heard_;
-  std::size_t count_ = 0;
-  bool ready_ = false;
 };
-
-data::Placement cyclic_windows(std::size_t num_workers, std::size_t load) {
-  data::Placement placement(num_workers, num_workers);
-  for (std::size_t i = 0; i < num_workers; ++i) {
-    auto& g = placement.worker(i);
-    g.reserve(load);
-    for (std::size_t k = 0; k < load; ++k) {
-      g.push_back((i + k) % num_workers);
-    }
-  }
-  return placement;
-}
 
 std::vector<std::size_t> divisors_ascending(std::size_t r) {
   std::vector<std::size_t> d;
@@ -133,7 +79,7 @@ std::vector<std::size_t> divisors_ascending(std::size_t r) {
 }  // namespace
 
 GcNestedScheme::GcNestedScheme(std::size_t num_workers, std::size_t load)
-    : Scheme(cyclic_windows(num_workers, load)),
+    : Scheme(data::cyclic_windows(num_workers, load)),
       load_(load),
       widths_(divisors_ascending(load)) {
   COUPON_ASSERT_MSG(num_workers >= 1, "need at least one worker");
@@ -141,15 +87,6 @@ GcNestedScheme::GcNestedScheme(std::size_t num_workers, std::size_t load)
                     "load r must be in [1, n]");
   COUPON_ASSERT_MSG(num_workers % load == 0,
                     "nested gradient coding requires r | n");
-}
-
-comm::Message GcNestedScheme::encode(std::size_t worker,
-                                     const UnitGradientSource& source,
-                                     std::span<const double> w) const {
-  comm::Message msg;
-  msg.tag = comm::kTagGradient;
-  encode_into(worker, source, w, msg);
-  return msg;
 }
 
 void GcNestedScheme::encode_into(std::size_t worker,

@@ -37,8 +37,6 @@ class GcNestedScheme final : public Scheme {
   std::string_view registry_name() const override { return "gc_nested"; }
   std::string_view name() const override { return "nested gradient coding"; }
 
-  comm::Message encode(std::size_t worker, const UnitGradientSource& source,
-                       std::span<const double> w) const override;
   void encode_into(std::size_t worker, const UnitGradientSource& source,
                    std::span<const double> w,
                    comm::Message& out) const override;

@@ -10,11 +10,37 @@ std::size_t Collector::decode_partial_sum(std::span<double>) const {
   return 0;
 }
 
-void Scheme::encode_into(std::size_t worker, const UnitGradientSource& source,
-                         std::span<const double> w, comm::Message& out) const {
-  comm::Message msg = encode(worker, source, w);
-  out.meta = std::move(msg.meta);
-  out.payload = std::move(msg.payload);
+comm::Message Scheme::encode(std::size_t worker,
+                             const UnitGradientSource& source,
+                             std::span<const double> w) const {
+  comm::Message msg;
+  msg.tag = comm::kTagGradient;
+  encode_into(worker, source, w, msg);
+  return msg;
+}
+
+void encode_sum(std::size_t id, std::span<const std::size_t> units,
+                const UnitGradientSource& source, std::span<const double> w,
+                comm::Message& out) {
+  out.meta.assign(1, static_cast<std::int64_t>(id));
+  out.payload.assign(source.dim(), 0.0);
+  source.accumulate_units_gradient(units, w, out.payload);
+}
+
+void encode_units(std::span<const std::size_t> units,
+                  const UnitGradientSource& source, std::span<const double> w,
+                  comm::Message& out) {
+  const std::size_t dim = source.dim();
+  out.meta.assign(units.begin(), units.end());
+  out.payload.assign(units.size() * dim, 0.0);
+  for (std::size_t k = 0; k < units.size(); ++k) {
+    source.unit_gradient(units[k], w,
+                         std::span<double>(out.payload).subspan(k * dim, dim));
+  }
+}
+
+std::vector<std::int64_t> units_meta(std::span<const std::size_t> units) {
+  return std::vector<std::int64_t>(units.begin(), units.end());
 }
 
 }  // namespace coupon::core

@@ -79,9 +79,10 @@ class Collector {
   virtual void decode_sum(std::span<double> grad_sum) const = 0;
 
   /// True when this collector can also decode a *partial* gradient from
-  /// whatever it has collected so far (coverage-style schemes: BCC, FR,
-  /// uncoded, simple randomized). False for algebraically coded schemes
-  /// (CR), which are all-or-nothing.
+  /// whatever it has collected so far: the coverage schemes (BCC, FR,
+  /// simple randomized, gc_cyclic), uncoded, and SGC (whose partial
+  /// decode is its unbiased estimate of the full sum). False for CR and
+  /// nested GC, whose decodes are all-or-nothing.
   virtual bool supports_partial_decode() const { return false; }
 
   /// Writes the sum of the unit gradients covered *so far* into
@@ -135,21 +136,20 @@ class Scheme {
 
   /// Worker-side encoding phi_i: computes worker `i`'s message at `w`.
   /// The returned message's `meta`/`payload` are what `Collector::offer`
-  /// expects; `source.num_units()` must equal num_units().
+  /// expects; `source.num_units()` must equal num_units(). Returns a
+  /// `kTagGradient` message filled by `encode_into`.
   virtual comm::Message encode(std::size_t worker,
                                const UnitGradientSource& source,
-                               std::span<const double> w) const = 0;
+                               std::span<const double> w) const;
 
-  /// Scratch-reusing variant of `encode`: writes worker `i`'s message into
+  /// Scratch-reusing form of `encode`: writes worker `i`'s message into
   /// `out`, reusing `out.meta`/`out.payload` capacity so a warm caller
-  /// performs zero allocations. Produces bytes identical to `encode` (same
-  /// meta, same payload, same floating-point summation order); only
-  /// `meta`/`payload` are scheme-owned — routing fields (`source`, `dest`,
-  /// `tag`, `iteration`) are left for the caller. The base default
-  /// forwards to `encode` so out-of-tree schemes keep working; all in-tree
-  /// schemes override it with an allocation-free body.
+  /// performs zero allocations. Only `meta`/`payload` are scheme-owned —
+  /// routing fields (`source`, `dest`, `tag`, `iteration`) are left for
+  /// the caller. Every scheme implements this; `encode` forwards here.
   virtual void encode_into(std::size_t worker, const UnitGradientSource& source,
-                           std::span<const double> w, comm::Message& out) const;
+                           std::span<const double> w,
+                           comm::Message& out) const = 0;
 
   /// If several workers provably produce bitwise-identical messages (same
   /// meta, same payload for any `w`), returns a group id in
@@ -206,6 +206,22 @@ class Scheme {
 
   data::Placement placement_;
 };
+
+/// Encoder of the one-message-per-worker sum schemes (bcc, fr, uncoded,
+/// sgc): meta `{id}`, payload the sum of `units`' gradients at `w`,
+/// accumulated in the order given.
+void encode_sum(std::size_t id, std::span<const std::size_t> units,
+                const UnitGradientSource& source, std::span<const double> w,
+                comm::Message& out);
+
+/// Encoder of the per-unit schemes (simple_random, gc_cyclic): meta lists
+/// `units`, payload concatenates their gradients in that order.
+void encode_units(std::span<const std::size_t> units,
+                  const UnitGradientSource& source, std::span<const double> w,
+                  comm::Message& out);
+
+/// The meta `encode_units` writes for `units`.
+std::vector<std::int64_t> units_meta(std::span<const std::size_t> units);
 
 /// Options shared by the `SchemeRegistry` factories.
 struct SchemeConfig {

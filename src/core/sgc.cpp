@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "core/collectors.hpp"
 #include "linalg/vector_ops.hpp"
 #include "util/assert.hpp"
 
@@ -10,44 +11,18 @@ namespace coupon::core {
 
 namespace {
 
-/// Slot-per-worker collector that stops at the wait quota k* = n - r + 1
-/// and decodes the scaled partial aggregate (n / (r k)) * sum of kept
-/// messages, summed in worker order so the decode is independent of
-/// arrival order for a given arrival *set*.
-class SgcCollector final : public Collector {
+/// Stops at the wait quota k* = n - r + 1 and decodes the scaled partial
+/// aggregate (n / (r k)) * sum of kept messages, summed in worker order.
+class SgcCollector final : public WorkerSlotCollector {
  public:
   SgcCollector(std::size_t num_workers, std::size_t num_units,
                std::size_t load, std::size_t wait_quota)
-      : num_units_(num_units),
-        load_(load),
-        wait_quota_(wait_quota),
-        slots_(num_workers),
-        heard_(num_workers, false) {}
-
-  bool offer(std::size_t worker, std::span<const std::int64_t> meta,
-             std::span<const double> payload) override {
-    (void)meta;
-    if (ready_) {
-      return false;
-    }
-    COUPON_ASSERT(worker < heard_.size());
-    note_offer(1.0);
-    if (heard_[worker]) {
-      return false;  // duplicate delivery of the same worker's message
-    }
-    heard_[worker] = true;
-    ++count_;
-    if (!payload.empty()) {
-      slots_[worker].assign(payload.begin(), payload.end());
-    }
-    ready_ = count_ >= wait_quota_;
-    return true;
-  }
-
-  bool ready() const override { return ready_; }
+      : WorkerSlotCollector(num_workers, wait_quota, 1),
+        num_units_(num_units),
+        load_(load) {}
 
   void decode_sum(std::span<double> out) const override {
-    COUPON_ASSERT_MSG(ready_, "decode before the wait quota was met");
+    COUPON_ASSERT_MSG(ready(), "decode before the wait quota was met");
     scaled_aggregate(out);
   }
 
@@ -57,7 +32,7 @@ class SgcCollector final : public Collector {
   /// reports all m units as covered because the estimate targets the FULL
   /// gradient sum (the engine's covered/m rescale must be the identity).
   std::size_t decode_partial_sum(std::span<double> out) const override {
-    if (count_ == 0) {
+    if (distinct_workers() == 0) {
       linalg::fill(out, 0.0);
       return 0;
     }
@@ -67,38 +42,25 @@ class SgcCollector final : public Collector {
 
  private:
   void scaled_aggregate(std::span<double> out) const {
-    COUPON_ASSERT(count_ >= 1);
+    COUPON_ASSERT(distinct_workers() >= 1);
     linalg::fill(out, 0.0);
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-      if (!heard_[i]) {
+    for (std::size_t i = 0; i < num_workers(); ++i) {
+      if (!heard(i)) {
         continue;
       }
-      COUPON_ASSERT_MSG(!slots_[i].empty(), "decode without payloads");
-      COUPON_ASSERT(slots_[i].size() == out.size());
-      linalg::axpy(1.0, slots_[i], out);
+      const auto row = slot(i);
+      COUPON_ASSERT(row.size() == out.size());
+      linalg::axpy(1.0, row, out);
     }
     const double scale =
-        static_cast<double>(slots_.size()) /
-        (static_cast<double>(load_) * static_cast<double>(count_));
+        static_cast<double>(num_workers()) /
+        (static_cast<double>(load_) *
+         static_cast<double>(distinct_workers()));
     linalg::scal(scale, out);
-  }
-
-  void do_reset() override {
-    for (auto& slot : slots_) {
-      slot.clear();
-    }
-    std::fill(heard_.begin(), heard_.end(), false);
-    count_ = 0;
-    ready_ = false;
   }
 
   std::size_t num_units_;
   std::size_t load_;
-  std::size_t wait_quota_;
-  std::vector<std::vector<double>> slots_;
-  std::vector<bool> heard_;
-  std::size_t count_ = 0;
-  bool ready_ = false;
 };
 
 /// Balanced random placement: r rounds, each a uniform random bijection
@@ -169,25 +131,13 @@ SgcScheme::SgcScheme(std::size_t num_workers, std::size_t load,
                     "load r must be in [1, n]");
 }
 
-comm::Message SgcScheme::encode(std::size_t worker,
-                                const UnitGradientSource& source,
-                                std::span<const double> w) const {
-  comm::Message msg;
-  msg.tag = comm::kTagGradient;
-  encode_into(worker, source, w, msg);
-  return msg;
-}
-
 void SgcScheme::encode_into(std::size_t worker,
                             const UnitGradientSource& source,
                             std::span<const double> w,
                             comm::Message& out) const {
   COUPON_ASSERT(worker < num_workers());
   COUPON_ASSERT(source.num_units() == num_units());
-  out.meta.assign(1, static_cast<std::int64_t>(worker));
-  out.payload.assign(source.dim(), 0.0);
-  source.accumulate_units_gradient(placement_.worker(worker), w,
-                                   out.payload);
+  encode_sum(worker, placement_.worker(worker), source, w, out);
 }
 
 std::vector<std::int64_t> SgcScheme::message_meta(std::size_t worker) const {

@@ -45,8 +45,6 @@ class SgcScheme final : public Scheme {
   std::string_view registry_name() const override { return "sgc"; }
   std::string_view name() const override { return "stochastic gradient coding"; }
 
-  comm::Message encode(std::size_t worker, const UnitGradientSource& source,
-                       std::span<const double> w) const override;
   void encode_into(std::size_t worker, const UnitGradientSource& source,
                    std::span<const double> w,
                    comm::Message& out) const override;

@@ -25,8 +25,6 @@ class SimpleRandomScheme final : public Scheme {
   /// The message concatenates the worker's r per-unit gradients in the
   /// order of `meta` (which lists the unit indices); payload size is
   /// r * p doubles — r gradient units.
-  comm::Message encode(std::size_t worker, const UnitGradientSource& source,
-                       std::span<const double> w) const override;
   void encode_into(std::size_t worker, const UnitGradientSource& source,
                    std::span<const double> w,
                    comm::Message& out) const override;

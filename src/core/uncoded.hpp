@@ -21,8 +21,6 @@ class UncodedScheme final : public Scheme {
   std::string_view registry_name() const override { return "uncoded"; }
   std::string_view name() const override { return "uncoded"; }
 
-  comm::Message encode(std::size_t worker, const UnitGradientSource& source,
-                       std::span<const double> w) const override;
   void encode_into(std::size_t worker, const UnitGradientSource& source,
                    std::span<const double> w,
                    comm::Message& out) const override;

@@ -44,4 +44,16 @@ std::vector<std::size_t> Placement::example_multiplicities() const {
   return mult;
 }
 
+Placement cyclic_windows(std::size_t num_workers, std::size_t load) {
+  Placement placement(num_workers, num_workers);
+  for (std::size_t i = 0; i < num_workers; ++i) {
+    auto& g = placement.worker(i);
+    g.reserve(load);
+    for (std::size_t k = 0; k < load; ++k) {
+      g.push_back((i + k) % num_workers);
+    }
+  }
+  return placement;
+}
+
 }  // namespace coupon::data

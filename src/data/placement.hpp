@@ -50,4 +50,9 @@ class Placement {
   std::vector<std::vector<std::size_t>> assignments_;
 };
 
+/// The cyclic placement of gradient coding (Tandon et al.): over m = n
+/// units, worker i holds the window {i, i+1, ..., i+r-1 mod n}, so every
+/// unit is replicated on exactly r consecutive workers.
+Placement cyclic_windows(std::size_t num_workers, std::size_t load);
+
 }  // namespace coupon::data

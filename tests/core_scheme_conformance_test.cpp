@@ -32,6 +32,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 #include <numeric>
 #include <string>
@@ -263,6 +264,45 @@ TEST(SchemeConformance, ExactSchemesDecodeTheSerialGradientSum) {
               << "coordinate " << c;
         }
       }
+    }
+  }
+}
+
+TEST(SchemeConformance, DecodeIsBitwiseIndependentOfArrivalOrder) {
+  // Every collector decodes from slots indexed by coupon or worker, never
+  // by arrival position: the arrival set that made one collector ready,
+  // offered in reverse to a fresh one, must decode to the same bits.
+  for (const auto& name : SchemeRegistry::instance().names()) {
+    SCOPED_TRACE(name);
+    const SchemeFixture fixture = build_fixture(name);
+    stats::Rng rng(0x0DE2 + name.size());
+    for (std::size_t trial = 0; trial < 8; ++trial) {
+      std::vector<std::size_t> order(kWorkers);
+      std::iota(order.begin(), order.end(), 0);
+      rng.shuffle(order);
+
+      const auto forward = fixture.scheme->make_collector();
+      std::vector<std::size_t> arrived;
+      for (const std::size_t worker : order) {
+        const auto& msg = fixture.messages[worker];
+        forward->offer(worker, msg.meta, msg.payload);
+        arrived.push_back(worker);
+        if (forward->ready()) {
+          break;
+        }
+      }
+      ASSERT_TRUE(forward->ready()) << "trial " << trial;
+      std::vector<double> decoded_forward(kDim);
+      forward->decode_sum(decoded_forward);
+
+      std::reverse(arrived.begin(), arrived.end());
+      const auto reversed = fixture.scheme->make_collector();
+      const auto decoded_reversed =
+          offer_all_and_decode(fixture, *reversed, arrived);
+      EXPECT_EQ(std::memcmp(decoded_forward.data(), decoded_reversed.data(),
+                            kDim * sizeof(double)),
+                0)
+          << "trial " << trial;
     }
   }
 }

@@ -279,29 +279,34 @@ TEST(ProviderCache, CachedPathMatchesLegacyTrajectoryBitwise) {
   }
 }
 
-// The base-class defaults are bypassed by every in-tree override, but
-// they are the contract out-of-tree schemes and sources rely on
-// (encode_into's doc promises the forward-to-encode fallback, and
-// accumulate_units_gradient's doc promises exact equivalence with the
-// per-unit loop). Qualified calls pin each default against its
-// overridden fast path.
+// `Scheme::encode` is one base-class wrapper over every scheme's
+// `encode_into`, and `UnitGradientSource::accumulate_units_gradient`'s
+// default is the contract out-of-tree sources rely on (its doc promises
+// exact equivalence with the per-unit loop). Each is pinned against the
+// in-tree code it must agree with.
 
-TEST(BaseClassDefaults, SchemeEncodeIntoForwardsToEncode) {
+TEST(BaseClassDefaults, SchemeEncodeForwardsToEncodeInto) {
   const data::SyntheticProblem problem = test_problem(0xBA5EDEF);
   const core::LeastSquaresExampleSource source(problem.dataset);
   stats::Rng rng(41);
-  for (const char* name : {"bcc", "gc_cyclic"}) {
+  for (const auto& name : core::SchemeRegistry::instance().names()) {
     stats::Rng build_rng(7);
     const auto scheme = core::SchemeRegistry::instance().create(
         name, test_scheme_config(), build_rng);
     const std::vector<double> w = random_point(source.dim(), rng);
     for (std::size_t worker : {std::size_t{0}, std::size_t{5}}) {
-      const comm::Message direct = scheme->encode(worker, source, w);
-      comm::Message via_default;
-      via_default.payload.assign(3, -1.0);  // dirty slot: must be replaced
-      scheme->core::Scheme::encode_into(worker, source, w, via_default);
-      EXPECT_EQ(direct.meta, via_default.meta) << name;
-      expect_bitwise_equal(direct.payload, via_default.payload, name);
+      const comm::Message wrapped = scheme->encode(worker, source, w);
+      EXPECT_EQ(wrapped.tag, comm::kTagGradient) << name;
+      // A dirty reused message: stale meta/payload must be replaced, and
+      // the routing fields are the caller's, so encode_into keeps them.
+      comm::Message reused;
+      reused.tag = comm::kTagShutdown;
+      reused.meta.assign(7, -1);
+      reused.payload.assign(3, -1.0);
+      scheme->encode_into(worker, source, w, reused);
+      EXPECT_EQ(reused.tag, comm::kTagShutdown) << name;
+      EXPECT_EQ(wrapped.meta, reused.meta) << name;
+      expect_bitwise_equal(wrapped.payload, reused.payload, name.c_str());
     }
   }
 }
