@@ -6,9 +6,8 @@
 // batch on average, that stays negligible far beyond the point where the
 // other schemes have collapsed.
 //
-// Built on the open scenario registry + SweepPlan: each drop probability
-// is registered as a scenario with a single ScenarioRegistration-style
-// call (no registry switch edits), then one schemes × scenarios
+// Built on the scenario registry + SweepPlan: each drop probability p is
+// the parameterized lossy:<p> scenario, and one schemes × scenarios
 // cartesian sweep runs every (scheme, drop) cell in parallel on the
 // thread pool.
 
@@ -17,7 +16,6 @@
 #include <vector>
 
 #include "driver/driver.hpp"
-#include "driver/scenario_registry.hpp"
 #include "driver/sweep.hpp"
 #include "util/util.hpp"
 
@@ -30,43 +28,24 @@ int main(int argc, char** argv) {
   const auto iterations =
       static_cast<std::size_t>(flags.get_int("iterations"));
 
-  const auto base = coupon::simulate::ec2_scenario_one();
+  const auto base = coupon::driver::paper_scenario_one();
+  // Two decimals spell each probability exactly.
   const std::vector<double> drops = {0.0, 0.01, 0.02, 0.05, 0.1, 0.2, 0.4};
 
-  // Publish the drop axis as scenarios: this is all it takes to add a
-  // straggler scenario to the system — coupon_run --list now shows them
-  // too, for the lifetime of this process.
   coupon::driver::SweepPlan plan;
   for (double drop : drops) {
-    const std::string name = "drop_" + coupon::format_double(drop, 2);
-    coupon::driver::ScenarioRegistry::instance().add(
-        {.name = name,
-         .description = "shifted_exp plus " +
-                        coupon::format_percent(drop, 0) +
-                        " i.i.d. message loss (sim only)",
-         .sim_only = true,
-         .builder = [drop](std::size_t) {
-           auto s = coupon::driver::ScenarioRegistry::instance().build(
-               "shifted_exp", 0);
-           s.cluster.drop_probability = drop;
-           return s;
-         },
-         .param_builder = {}});
-    plan.scenarios.push_back(name);
+    plan.scenarios.push_back("lossy:" + coupon::format_double(drop, 2));
   }
-
-  plan.base.num_workers = base.num_workers;
-  plan.base.num_units = base.num_units;
-  plan.base.load = base.load;
-  plan.base.seed = base.seed;
+  plan.base = base;
   plan.base.iterations = iterations;
   plan.base.record_trace = false;  // summary table only
   plan.schemes = {"uncoded", "cr", "fr", "bcc"};
 
   const auto records = coupon::driver::run_sweep(plan);
 
-  std::printf("Message-drop ablation — %s, %zu iterations per point, "
-              "r = %zu\n\n", base.name.c_str(), iterations, base.load);
+  std::printf("Message-drop ablation — scenario one (n=%zu, m=%zu "
+              "batches), %zu iterations per point, r = %zu\n\n",
+              base.num_workers, base.num_units, iterations, base.load);
   coupon::AsciiTable table({"drop prob", "uncoded failed", "CR failed",
                             "FR failed", "BCC failed"});
   // Cell order is scheme-major, scenario-minor:

@@ -8,8 +8,9 @@
 // 29.28% reduction in average computation time (LB ~ 1000, BCC ~ 700).
 //
 // A placement whose union cannot cover all m examples can never finish;
-// runs report the coverage-conditional mean plus the failure rate (see
-// EXPERIMENTS.md for why conditioning is the operational semantics).
+// runs report the coverage-conditional mean plus the failure rate.
+// Conditioning is the operational semantics: a placement is drawn once
+// and redrawn if it cannot possibly cover.
 
 #include <cmath>
 #include <cstdio>

@@ -9,7 +9,9 @@
 #include <cstdio>
 
 #include "driver/driver.hpp"
+#include "driver/scenario_registry.hpp"
 #include "driver/sweep.hpp"
+#include "simulate/cluster_config.hpp"
 #include "util/util.hpp"
 
 int main(int argc, char** argv) {
@@ -26,36 +28,46 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  coupon::simulate::ScenarioConfig scenario;
-  scenario.name = "custom cluster";
-  scenario.num_workers = static_cast<std::size_t>(flags.get_int("workers"));
-  scenario.num_units = static_cast<std::size_t>(flags.get_int("units"));
-  scenario.load = static_cast<std::size_t>(flags.get_int("load"));
-  scenario.iterations =
-      static_cast<std::size_t>(flags.get_int("iterations"));
-  scenario.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
-  scenario.cluster.unit_transfer_seconds =
-      flags.get_double("transfer_ms") * 1e-3;
-  scenario.cluster.compute_shift = flags.get_double("compute_ms") * 1e-3;
-  scenario.cluster.compute_straggle = flags.get_double("straggle");
-
-  std::vector<std::string> kinds = {"uncoded", "simple_random", "cr", "bcc"};
-  // FR needs r | n.
-  if (scenario.num_workers % scenario.load == 0 &&
-      scenario.num_units == scenario.num_workers) {
-    kinds.insert(kinds.begin() + 3, "fr");
-  }
+  // The cluster flags describe a custom cluster: publish it as a
+  // scenario, the one way a cluster reaches the driver.
+  coupon::simulate::ClusterConfig cluster;
+  cluster.unit_transfer_seconds = flags.get_double("transfer_ms") * 1e-3;
+  cluster.compute_shift = flags.get_double("compute_ms") * 1e-3;
+  cluster.compute_straggle = flags.get_double("straggle");
+  coupon::driver::ScenarioRegistry::instance().add(
+      {.name = "custom_cluster",
+       .description = "the cluster given by compare_schemes' flags",
+       .sim_only = true,
+       .builder =
+           [cluster](std::size_t) {
+             coupon::driver::Scenario scenario;
+             scenario.cluster = cluster;
+             return scenario;
+           },
+       .param_builder = {}});
 
   coupon::driver::SweepPlan plan;
-  plan.base = coupon::driver::config_from_sim_scenario(scenario);
+  plan.base.scenario = "custom_cluster";
+  plan.base.num_workers = static_cast<std::size_t>(flags.get_int("workers"));
+  plan.base.num_units = static_cast<std::size_t>(flags.get_int("units"));
+  plan.base.load = static_cast<std::size_t>(flags.get_int("load"));
+  plan.base.iterations =
+      static_cast<std::size_t>(flags.get_int("iterations"));
+  plan.base.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   plan.base.record_trace = false;
-  plan.schemes = kinds;
+  const auto& base = plan.base;
+
+  plan.schemes = {"uncoded", "simple_random", "cr", "bcc"};
+  // FR needs r | n.
+  if (base.num_workers % base.load == 0 &&
+      base.num_units == base.num_workers) {
+    plan.schemes.insert(plan.schemes.begin() + 3, "fr");
+  }
   const auto rows = coupon::driver::run_sweep(plan);
 
   std::printf("Scheme comparison — n = %zu workers, m = %zu units, "
               "r = %zu, %zu iterations\n\n",
-              scenario.num_workers, scenario.num_units, scenario.load,
-              scenario.iterations);
+              base.num_workers, base.num_units, base.load, base.iterations);
   coupon::AsciiTable table({"scheme", "K (mean)", "L (mean units)",
                             "comm (s)", "comp (s)", "total (s)",
                             "vs uncoded"});

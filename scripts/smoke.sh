@@ -26,6 +26,26 @@ run "${BUILD_DIR}/tools/coupon_run" --scheme cr --scenario lossy \
 run "${BUILD_DIR}/tools/coupon_run" --list
 "${BUILD_DIR}/tools/coupon_run" --list | grep -q "analytic models"
 
+# Parameterized ablation scenarios (lossy:<p>, fast_network:<speedup>)
+# run; a bad argument or a non-numeric flag value exits 1 with a
+# diagnostic on stderr — never an abort (status 134) or a silent prefix
+# parse.
+run "${BUILD_DIR}/tools/coupon_run" --scheme bcc --scenario lossy:0.2 \
+    --runtime sim --iterations 5 --out -
+run "${BUILD_DIR}/tools/coupon_run" --scheme bcc --scenario fast_network:2 \
+    --runtime sim --iterations 5 --out -
+expect_rejected() {
+  echo "==> rejects $*"
+  local status=0
+  "${BUILD_DIR}/tools/coupon_run" "$@" > /dev/null 2> "${TMP_DIR}/reject.err" \
+      || status=$?
+  test "${status}" -eq 1
+  test -s "${TMP_DIR}/reject.err"
+}
+expect_rejected --scenario lossy:abc --iterations 2
+expect_rejected --scenario lossy:1.5 --iterations 2
+expect_rejected --workers=10x --iterations 2
+
 # --- analytic oracle gate ------------------------------------------------
 # --predict is zero-simulation and fully deterministic: two invocations
 # must be byte-identical; --scheme auto must resolve and run end-to-end;

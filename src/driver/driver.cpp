@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <stdexcept>
+#include <utility>
 
 #include "core/scheme_registry.hpp"
 #include "driver/runtime_registry.hpp"
@@ -9,15 +10,22 @@
 
 namespace coupon::driver {
 
-ExperimentConfig config_from_sim_scenario(const simulate::ScenarioConfig& s) {
+ExperimentConfig paper_scenario_one() {
   ExperimentConfig config;
-  config.num_workers = s.num_workers;
-  config.num_units = s.num_units;
-  config.load = s.load;
-  config.iterations = s.iterations;
-  config.seed = s.seed;
-  config.cluster_override =
-      std::make_shared<const simulate::ClusterConfig>(s.cluster);
+  config.scenario = "shifted_exp";
+  config.num_workers = 50;
+  config.num_units = 50;
+  config.load = 10;
+  config.iterations = 100;
+  config.seed = 0xEC2001;
+  return config;
+}
+
+ExperimentConfig paper_scenario_two() {
+  ExperimentConfig config = paper_scenario_one();
+  config.num_workers = 100;
+  config.num_units = 100;
+  config.seed = 0xEC2002;
   return config;
 }
 
@@ -85,17 +93,6 @@ std::optional<ExperimentConfig> config_from_flags(const CliFlags& flags) {
     return std::nullopt;
   }
 
-  config.scenario = flags.get_string("scenario");
-  const auto* scenario =
-      ScenarioRegistry::instance().resolve(config.scenario);
-  if (scenario == nullptr) {
-    std::fprintf(stderr, "%s\n",
-                 ScenarioRegistry::instance()
-                     .unknown_message(config.scenario)
-                     .c_str());
-    return std::nullopt;
-  }
-
   config.runtime = flags.get_string("runtime");
   const RuntimeEntry* runtime =
       RuntimeRegistry::instance().find(config.runtime);
@@ -137,14 +134,24 @@ std::optional<ExperimentConfig> config_from_flags(const CliFlags& flags) {
     return std::nullopt;
   }
 
-  config.num_workers = static_cast<std::size_t>(flags.get_int("workers"));
-  config.num_units = static_cast<std::size_t>(flags.get_int("units"));
-  config.load = static_cast<std::size_t>(flags.get_int("load"));
-  config.iterations = static_cast<std::size_t>(flags.get_int("iterations"));
+  // A negative count would wrap to 2^64 - 1 through the size_t cast.
+  for (const auto& [name, field] :
+       {std::pair<const char*, std::size_t*>{"workers", &config.num_workers},
+        {"units", &config.num_units},
+        {"load", &config.load},
+        {"iterations", &config.iterations},
+        {"features", &config.features},
+        {"examples_per_unit", &config.examples_per_unit},
+        {"crash_iteration", &config.crash_iteration}}) {
+    const std::int64_t value = flags.get_int(name);
+    if (value < 0) {
+      std::fprintf(stderr, "--%s must be >= 0, got %lld\n", name,
+                   static_cast<long long>(value));
+      return std::nullopt;
+    }
+    *field = static_cast<std::size_t>(value);
+  }
   config.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
-  config.features = static_cast<std::size_t>(flags.get_int("features"));
-  config.examples_per_unit =
-      static_cast<std::size_t>(flags.get_int("examples_per_unit"));
   config.learning_rate = flags.get_double("learning_rate");
   config.lr_decay = flags.get_double("lr_decay");
   if (flags.get_double("target_loss") > 0.0) {
@@ -158,9 +165,11 @@ std::optional<ExperimentConfig> config_from_flags(const CliFlags& flags) {
   if (crash_worker >= 0) {
     config.crash_worker = static_cast<std::size_t>(crash_worker);
   }
-  config.crash_iteration =
-      static_cast<std::size_t>(flags.get_int("crash_iteration"));
+  config.scenario = flags.get_string("scenario");
   try {
+    // Building the scenario once parses a "name:arg" spelling, so a bad
+    // argument is reported here rather than when the run starts.
+    ScenarioRegistry::instance().build(config.scenario, config.num_workers);
     check_runtime_accepts(*runtime, config);
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "%s\n", e.what());

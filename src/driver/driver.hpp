@@ -16,21 +16,21 @@
 #include "driver/record.hpp"
 #include "driver/runtime.hpp"
 #include "driver/scenario_registry.hpp"
-#include "simulate/experiment.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
 namespace coupon::driver {
 
-/// Builds a driver config from a canonical simulate scenario definition
-/// (simulate::ec2_scenario_one/two), copying n, m, r, iterations, seed —
-/// so the paper's Table I/II parameters stay single-sourced — AND the
-/// scenario's cluster model, carried through as `cluster_override`.
-/// Callers holding a ScenarioConfig with a customized `cluster` (e.g. the
-/// ablation benches' drop/bandwidth sweeps) therefore get their overrides
-/// honoured by the simulated runtime instead of silently discarded; the
-/// threaded runtime rejects such configs loudly.
-ExperimentConfig config_from_sim_scenario(const simulate::ScenarioConfig& s);
+/// The paper's EC2 scenario one (Section III-C, Table I): n = 50
+/// workers, m = 50 data batches, r = 10, 100 iterations, on the
+/// `shifted_exp` scenario (the simulate::ec2_cluster() calibration).
+/// The Table I/II benches, Fig. 4 and the ablations start from these
+/// presets so the paper's parameters stay single-sourced.
+ExperimentConfig paper_scenario_one();
+
+/// The paper's EC2 scenario two (Table II): n = 100 workers, m = 100
+/// data batches, otherwise as scenario one.
+ExperimentConfig paper_scenario_two();
 
 /// Registers the driver's shared flags (--scheme, --scenario, --runtime,
 /// --workers, --units, --load, --iterations, --seed, --on_failure, and
@@ -39,7 +39,8 @@ void add_experiment_flags(CliFlags& flags);
 
 /// Reads the flags registered by `add_experiment_flags` back into a
 /// config. Prints a diagnostic and returns nullopt on an unknown scheme,
-/// scenario, runtime, or failure-policy spelling.
+/// runtime, or failure-policy spelling, a negative count, or a scenario
+/// spelling that does not build (unknown name or bad "name:arg").
 std::optional<ExperimentConfig> config_from_flags(const CliFlags& flags);
 
 /// Runs one (scheme, scenario, runtime) cell through the named runtime.

@@ -4,24 +4,21 @@
 /// The fully-resolved description of one experiment cell: which scheme,
 /// scenario, and runtime (all by registry name), the problem shape, the
 /// training workload, and the runtime-specific knobs. Consumed by
-/// `Runtime::run` and produced by CLI parsing (driver.hpp) and
-/// `SweepPlan` expansion (sweep.hpp).
+/// `Runtime::run` and produced by CLI parsing, the paper presets
+/// (driver.hpp) and `SweepPlan` expansion (sweep.hpp). This is the one
+/// experiment description: the cluster is always the named scenario's
+/// (scenario_registry.hpp), so a record's `scenario` names exactly what
+/// ran.
 ///
-/// Deliberately light on includes: the simulator cluster model is held
-/// behind a forward-declared shared_ptr and the failure policy comes
-/// from the tiny engine/types.hpp, so driver consumers do not rebuild
-/// when the simulation engine or the threaded transport change.
+/// Deliberately light on includes: the failure policy comes from the
+/// tiny engine/types.hpp, so driver consumers do not rebuild when the
+/// simulation engine or the threaded transport change.
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 
 #include "engine/types.hpp"
-
-namespace coupon::simulate {
-struct ClusterConfig;
-}
 
 namespace coupon::driver {
 
@@ -46,15 +43,6 @@ struct ExperimentConfig {
   /// the threaded runtime and by training runs, whose records never
   /// carry a latency trace.
   bool record_trace = true;
-
-  /// When set, replaces the named scenario's simulator cluster model —
-  /// the carrier for callers holding a customized simulate cluster (e.g.
-  /// `config_from_sim_scenario`, the ablation benches' drop/bandwidth
-  /// sweeps). Simulated runtime only: the threaded runtime fails loudly
-  /// on a set override instead of silently ignoring it. (A shared_ptr so
-  /// this header needs no simulator includes; the pointee is never
-  /// mutated after construction.)
-  std::shared_ptr<const simulate::ClusterConfig> cluster_override;
 
   // --- training workload (threaded runtime always trains; the simulated
   // --- runtime trains when `train` is set, else measures timing only) --

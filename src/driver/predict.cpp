@@ -15,13 +15,9 @@ namespace coupon::driver {
 
 namespace {
 
-/// The scenario's simulator cluster for this config, with the same
-/// precedence `SimulatedRuntime::run` applies: an explicit
-/// `cluster_override` wins over the named scenario's model.
+/// The named scenario's simulator cluster for this config — the one
+/// `SimulatedRuntime::run` runs.
 simulate::ClusterConfig resolve_cluster(const ExperimentConfig& config) {
-  if (config.cluster_override) {
-    return *config.cluster_override;
-  }
   const Scenario scenario = ScenarioRegistry::instance().build(
       config.scenario, config.num_workers);
   if (scenario.live_only) {

@@ -44,9 +44,9 @@ struct PredictReport {
 std::vector<analytic::CandidateSpec> predict_candidates(
     const ExperimentConfig& config, const std::vector<std::size_t>& loads);
 
-/// Ranks `candidates` on the config's scenario cluster (honouring
-/// `cluster_override`). Quantiles are computed for the best
-/// `quantile_top` rows (0 = all) when `quantiles` is set. Throws
+/// Ranks `candidates` on the config's scenario cluster. Quantiles are
+/// computed for the best `quantile_top` rows (0 = all) when `quantiles`
+/// is set. Throws
 /// std::invalid_argument on an unknown scenario or a live-only one.
 PredictReport predict_report(const ExperimentConfig& config,
                              const std::vector<analytic::CandidateSpec>&

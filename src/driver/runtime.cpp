@@ -229,11 +229,6 @@ RunRecord SimulatedRuntime::run(const ExperimentConfig& config) const {
       config.scenario, config.num_workers);
   RunRecord record = identity_record(config, name());
 
-  // The footgun fix: a caller-supplied cluster model (e.g. from
-  // config_from_sim_scenario) wins over the named scenario's.
-  const simulate::ClusterConfig& cluster =
-      config.cluster_override ? *config.cluster_override : scenario.cluster;
-
   if (config.train) {
     // Convergence mode: the shared TrainingEngine over the simulated
     // provider — kernel arrival order and ingress timing coupled with
@@ -248,8 +243,8 @@ RunRecord SimulatedRuntime::run(const ExperimentConfig& config) const {
         scheme_config(config, /*default_seed_first_batches=*/true), rng);
     record.scheme_display = std::string(scheme->name());
 
-    engine::SimulatedProvider provider(*scheme, *workload.source, cluster,
-                                       rng);
+    engine::SimulatedProvider provider(*scheme, *workload.source,
+                                       scenario.cluster, rng);
     engine::TrainingEngine protocol(*scheme, *workload.source, provider);
     auto optimizer = make_optimizer(config);
     engine::TrainReport report =
@@ -271,7 +266,8 @@ RunRecord SimulatedRuntime::run(const ExperimentConfig& config) const {
   simulate::RunOptions options;
   options.iterations = config.iterations;
   options.record_trace = config.record_trace;
-  simulate::RunReport run = simulate_run(*scheme, cluster, options, rng);
+  simulate::RunReport run =
+      simulate_run(*scheme, scenario.cluster, options, rng);
 
   record.trace = std::move(run.iterations);
   record.recovery_threshold = run.workers_heard.mean();

@@ -20,25 +20,21 @@ RuntimeRegistry::RuntimeRegistry() {
        .description =
            "discrete-event cluster model: per-iteration latency traces, "
            "no gradients computed",
-       .caps = {.simulated_clock = true,
-                .honours_cluster_override = true,
-                .honours_sim_only_scenarios = true},
+       .caps = {.simulated_clock = true},
        .factory = [] { return std::make_unique<SimulatedRuntime>(); }});
   add({.name = "threaded",
        .aliases = {"thread", "threads"},
        .description =
            "real master/worker threads training synthetic logistic "
            "regression over an in-process network",
-       .caps = {.computes_gradients = true, .honours_elasticity = true},
+       .caps = {},
        .factory = [] { return std::make_unique<ThreadedRuntime>(); }});
   add({.name = "process",
        .aliases = {"processes", "proc"},
        .description =
            "worker OS processes over framed stream sockets: real crash "
            "tolerance (SIGKILL -> EOF -> FailurePolicy), same protocol",
-       .caps = {.computes_gradients = true,
-                .honours_elasticity = true,
-                .spawns_processes = true},
+       .caps = {.spawns_processes = true},
        .factory = [] { return std::make_unique<ProcessRuntime>(); }});
 }
 
@@ -108,21 +104,16 @@ void check_runtime_accepts(const RuntimeEntry& runtime,
   }
   const RuntimeCapabilities& caps = runtime.caps;
   const std::string on = "; the " + runtime.name + " runtime ";
-  if (scenario->sim_only && !caps.honours_sim_only_scenarios) {
+  if (scenario->sim_only && !caps.simulated_clock) {
     throw std::invalid_argument("scenario '" + config.scenario +
                                 "' only varies simulator-side knobs" + on +
                                 "cannot express it — use --runtime sim");
   }
-  if (scenario->live_only && !caps.honours_elasticity) {
+  if (scenario->live_only && caps.simulated_clock) {
     throw std::invalid_argument(
         "scenario '" + config.scenario +
         "' needs a live cluster (workers join/leave)" + on +
         "cannot express it — use --runtime threaded or process");
-  }
-  if (config.cluster_override && !caps.honours_cluster_override) {
-    throw std::invalid_argument(
-        "cluster_override describes the simulated cluster" + on +
-        "cannot honour it — use --runtime sim");
   }
   if (config.crash_worker) {
     if (!caps.spawns_processes) {

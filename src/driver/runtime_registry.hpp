@@ -31,21 +31,12 @@ namespace coupon::driver {
 /// Static properties of a runtime that callers need before instantiating
 /// one (config validation, sweep planning, `coupon_run --list`).
 struct RuntimeCapabilities {
-  /// Workers really compute gradients and the run trains a model (the
-  /// threaded and process runtimes); false for the discrete-event
-  /// simulator's timing-only mode.
-  bool computes_gradients = false;
-  /// Time is simulated, so latency-model knobs (per-worker profiles,
-  /// message loss, ingress bandwidth) are expressible.
+  /// Time is simulated: the discrete-event simulator, which can express
+  /// every latency-model knob (per-worker profiles, message loss, ingress
+  /// bandwidth) and so runs sim_only scenarios. False for the live
+  /// runtimes, whose workers really compute gradients and train a model,
+  /// and which alone can run live_only (elastic) scenarios.
   bool simulated_clock = false;
-  /// Honours ExperimentConfig::cluster_override (a caller-supplied
-  /// simulated ClusterConfig).
-  bool honours_cluster_override = false;
-  /// Can run scenarios marked sim_only (simulator-side knobs).
-  bool honours_sim_only_scenarios = false;
-  /// Can run scenarios with an elasticity plan (live_only scenarios:
-  /// workers join/leave mid-run).
-  bool honours_elasticity = false;
   /// Workers are separate OS processes: crash injection
   /// (ExperimentConfig::crash_worker) is meaningful, and the runtime
   /// needs fork()/socket support from the sandbox.
@@ -101,10 +92,11 @@ class RuntimeRegistry {
 /// The one runtime-compatibility check, called by `config_from_flags`,
 /// sweep planning and every `Runtime::run`. Throws std::invalid_argument
 /// when `config.scenario` does not resolve, or when `runtime`'s
-/// capabilities cannot honour `config`: a sim_only scenario, a live_only
-/// (elastic) scenario, a `cluster_override`, or a crash drill on a
-/// runtime without worker processes — or naming a worker outside
-/// [0, num_workers).
+/// capabilities cannot honour `config`: a sim_only scenario without a
+/// simulated clock, a live_only (elastic) scenario with one, or a crash
+/// drill on a runtime without worker processes — or naming a worker
+/// outside [0, num_workers). Only the scenario *name* is resolved here;
+/// a "name:arg" argument is parsed when the scenario is built.
 void check_runtime_accepts(const RuntimeEntry& runtime,
                            const ExperimentConfig& config);
 

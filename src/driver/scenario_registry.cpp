@@ -1,7 +1,8 @@
 #include "driver/scenario_registry.hpp"
 
 #include <algorithm>
-#include <charconv>
+#include <cmath>
+#include <fstream>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -9,6 +10,7 @@
 
 #include "simulate/experiment.hpp"
 #include "simulate/latency_model.hpp"
+#include "util/cli.hpp"
 #include "util/names.hpp"
 
 namespace coupon::driver {
@@ -50,14 +52,28 @@ Scenario elastic_scenario(std::size_t count, std::size_t leave,
   return s;
 }
 
-std::optional<std::size_t> parse_size(std::string_view text) {
-  std::size_t value = 0;
-  const auto* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc() || ptr != end) {
-    return std::nullopt;
-  }
-  return value;
+/// "lossy:<p>" sets the message-loss probability p in [0, 1].
+Scenario lossy_scenario(double drop_probability) {
+  Scenario s = ec2_baseline();
+  s.cluster.drop_probability = drop_probability;
+  return s;
+}
+
+/// "fast_network:<speedup>" divides the per-unit ingress time by a
+/// finite speedup > 0.
+Scenario fast_network_scenario(double speedup) {
+  Scenario s = ec2_baseline();
+  s.cluster.unit_transfer_seconds /= speedup;
+  return s;
+}
+
+std::invalid_argument bad_argument(std::string_view name,
+                                   std::string_view arg,
+                                   const std::string& expected) {
+  return std::invalid_argument(std::string(name) +
+                               " scenario argument must be " + expected +
+                               ", got '" + std::string(name) + ":" +
+                               std::string(arg) + "'");
 }
 
 }  // namespace
@@ -93,24 +109,31 @@ ScenarioRegistry::ScenarioRegistry() {
        },
        .param_builder = {}});
   add({.name = "lossy",
-       .description = "shifted_exp plus 5% i.i.d. message loss (sim only)",
+       .description = "shifted_exp plus 5% i.i.d. message loss; "
+                      "parameterize as lossy:<p> (sim only)",
        .sim_only = true,
-       .builder = [](std::size_t) {
-         Scenario s = ec2_baseline();
-         s.cluster.drop_probability = 0.05;
-         return s;
-       },
-       .param_builder = {}});
+       .builder = [](std::size_t) { return lossy_scenario(0.05); },
+       .param_builder = [](std::string_view arg, std::size_t) {
+         const auto p = parse_number<double>(arg);
+         if (!p || !(*p >= 0.0 && *p <= 1.0)) {  // also rejects NaN
+           throw bad_argument("lossy", arg, "a probability in [0, 1]");
+         }
+         return lossy_scenario(*p);
+       }});
   add({.name = "fast_network",
-       .description =
-           "10x faster master ingress (compute-dominated regime; sim only)",
+       .description = "10x faster master ingress (compute-dominated "
+                      "regime); parameterize as fast_network:<speedup> "
+                      "(sim only)",
        .sim_only = true,
-       .builder = [](std::size_t) {
-         Scenario s = ec2_baseline();
-         s.cluster.unit_transfer_seconds /= 10.0;
-         return s;
-       },
-       .param_builder = {}});
+       .builder = [](std::size_t) { return fast_network_scenario(10.0); },
+       .param_builder = [](std::string_view arg, std::size_t) {
+         const auto speedup = parse_number<double>(arg);
+         if (!speedup || !std::isfinite(*speedup) || *speedup <= 0.0) {
+           throw bad_argument("fast_network", arg,
+                              "a finite speedup > 0");
+         }
+         return fast_network_scenario(*speedup);
+       }});
   add({.name = "no_stragglers",
        .description = "near-deterministic compute, no loss (best case)",
        .sim_only = false,
@@ -206,16 +229,15 @@ ScenarioRegistry::ScenarioRegistry() {
              std::optional<std::size_t> count, leave, rejoin;
              if (at != std::string_view::npos &&
                  dash != std::string_view::npos) {
-               count = parse_size(arg.substr(0, at));
-               leave = parse_size(arg.substr(at + 1, dash - at - 1));
-               rejoin = parse_size(arg.substr(dash + 1));
+               count = parse_number<std::size_t>(arg.substr(0, at));
+               leave = parse_number<std::size_t>(
+                   arg.substr(at + 1, dash - at - 1));
+               rejoin = parse_number<std::size_t>(arg.substr(dash + 1));
              }
              if (!count || !leave || !rejoin || *leave >= *rejoin) {
-               throw std::invalid_argument(
-                   "elastic scenario argument must be "
-                   "'<count>@<leave>-<rejoin>' with leave < rejoin, got "
-                   "'elastic:" +
-                   std::string(arg) + "'");
+               throw bad_argument(
+                   "elastic", arg,
+                   "'<count>@<leave>-<rejoin>' with leave < rejoin");
              }
              return elastic_scenario(*count, *leave, *rejoin, num_workers);
            }});
@@ -228,6 +250,11 @@ ScenarioRegistry::ScenarioRegistry() {
        .param_builder = [](std::string_view arg, std::size_t) {
          Scenario s = ec2_baseline();
          const std::string path(arg);
+         // Fail at selection, not on the first run that reads the file.
+         if (!std::ifstream(path)) {
+           throw std::invalid_argument("latency trace '" + path +
+                                       "' cannot be opened");
+         }
          s.cluster.latency_model = [path](std::size_t num_workers) {
            return std::make_unique<simulate::TraceReplayModel>(path,
                                                               num_workers);

@@ -10,8 +10,10 @@
 /// `--scenario` flag drives either runtime. Scenarios are published under
 /// a name with a builder that realizes the dual view for a given cluster
 /// size; adding one is a single `ScenarioRegistration` call — no switch
-/// or name-table edits (the message-drop ablation registers its whole
-/// drop-probability axis this way at startup).
+/// or name-table edits. A scenario is the one way to describe a cluster:
+/// ablation knobs are parameterized spellings ("lossy:<p>",
+/// "fast_network:<speedup>"), and a caller with a truly custom cluster
+/// registers its own scenario (see examples/compare_schemes).
 ///
 /// Registration discipline mirrors core::SchemeRegistry: register before
 /// experiments run; lookups may then be concurrent.
@@ -66,9 +68,10 @@ struct ScenarioEntry {
       param_builder;
 };
 
-/// Process-wide scenario registry. Built-ins (shifted_exp, hetero, lossy,
-/// fast_network, no_stragglers, and one per latency model: heavy_tail,
-/// weibull, bursty, markov, trace:<path>) are registered on first access.
+/// Process-wide scenario registry. Built-ins (shifted_exp, hetero,
+/// lossy[:<p>], fast_network[:<speedup>], no_stragglers, one per latency
+/// model: heavy_tail, weibull, bursty, markov, trace:<path>, and the live
+/// elastic[:<count>@<leave>-<rejoin>]) are registered on first access.
 class ScenarioRegistry {
  public:
   static ScenarioRegistry& instance();
@@ -90,8 +93,10 @@ class ScenarioRegistry {
   /// Realizes the named scenario for `num_workers` workers. Accepts both
   /// plain and "name:arg" spellings; the built Scenario's `name` is the
   /// full spelling. Throws std::invalid_argument listing the valid
-  /// choices on an unknown name, or explaining the "name:arg" form when
-  /// a parameterized entry is selected bare.
+  /// choices on an unknown name, explaining the "name:arg" form when a
+  /// parameterized entry is selected bare, or naming the spelling when
+  /// its argument does not parse (sweep planning and CLI parsing build
+  /// each spelling once for exactly this check).
   Scenario build(std::string_view name, std::size_t num_workers) const;
 
   /// Names in registration order.

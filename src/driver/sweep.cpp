@@ -11,6 +11,7 @@
 #include "core/scheme_registry.hpp"
 #include "driver/driver.hpp"
 #include "driver/runtime_registry.hpp"
+#include "driver/scenario_registry.hpp"
 #include "util/thread_pool.hpp"
 
 namespace coupon::driver {
@@ -32,12 +33,20 @@ std::vector<SweepCell> expand_plan(const SweepPlan& plan) {
   const auto iterations = axis_or(plan.iterations, plan.base.iterations);
   const auto seeds = axis_or(plan.seeds, plan.base.seed);
 
-  // Fail on any bad name before running a single cell (scenario names
-  // are resolved by the per-cell runtime check below).
+  // Fail on any bad name before running a single cell. Building each
+  // distinct scenario spelling once also parses its "name:arg" argument
+  // (a bad lossy:<p>, a missing trace:<path>), which the per-cell runtime
+  // check below does not: it resolves the name only.
   const auto& scheme_registry = core::SchemeRegistry::instance();
   for (const auto& scheme : schemes) {
     if (scheme_registry.find(scheme) == nullptr) {
       throw std::invalid_argument(scheme_registry.unknown_message(scheme));
+    }
+  }
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    if (std::find(scenarios.begin(), scenarios.begin() + i, scenarios[i]) ==
+        scenarios.begin() + i) {
+      ScenarioRegistry::instance().build(scenarios[i], workers.front());
     }
   }
   const RuntimeEntry* runtime =

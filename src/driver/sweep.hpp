@@ -63,10 +63,12 @@ struct SweepCell {
 /// Expands the plan into cells. Axis nesting, outermost to innermost:
 /// scheme, scenario, workers, units, load, iterations, seed. Validates
 /// up front — unknown scheme/scenario/runtime names (the diagnostic
-/// lists the registered choices), scheme capability violations
-/// (m != n for CR/FR, r not dividing n for FR), and sim-only scenarios
-/// or a cluster_override under the threaded runtime — and throws
-/// std::invalid_argument, so a sweep cannot fail halfway through.
+/// lists the registered choices), a "name:arg" scenario whose argument
+/// does not build (each distinct spelling is built once), scheme
+/// capability violations (m != n for CR/FR, r not dividing n for FR),
+/// and scenarios the runtime cannot express (sim-only on a live runtime,
+/// elastic on sim) — and throws std::invalid_argument, so a sweep cannot
+/// fail halfway through.
 std::vector<SweepCell> expand_plan(const SweepPlan& plan);
 
 struct SweepOptions {

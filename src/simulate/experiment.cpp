@@ -16,30 +16,6 @@ ClusterConfig ec2_cluster() {
   return c;
 }
 
-ScenarioConfig ec2_scenario_one() {
-  ScenarioConfig s;
-  s.name = "scenario one (n=50, m=50 batches)";
-  s.num_workers = 50;
-  s.num_units = 50;
-  s.load = 10;
-  s.iterations = 100;
-  s.cluster = ec2_cluster();
-  s.seed = 0xEC2001;
-  return s;
-}
-
-ScenarioConfig ec2_scenario_two() {
-  ScenarioConfig s;
-  s.name = "scenario two (n=100, m=100 batches)";
-  s.num_workers = 100;
-  s.num_units = 100;
-  s.load = 10;
-  s.iterations = 100;
-  s.cluster = ec2_cluster();
-  s.seed = 0xEC2002;
-  return s;
-}
-
 const std::vector<std::string>& iteration_csv_header() {
   static const std::vector<std::string> header = {
       "iteration",     "total_time",     "compute_time", "comm_time",

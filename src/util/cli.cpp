@@ -1,7 +1,6 @@
 #include "util/cli.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
 #include "util/assert.hpp"
@@ -58,29 +57,31 @@ CliFlags& CliFlags::add_string(const std::string& name,
 }
 
 bool CliFlags::set_from_string(Flag& flag, const std::string& text) {
-  try {
-    switch (flag.type) {
-      case Type::kInt:
-        flag.int_value = std::stoll(text);
+  switch (flag.type) {
+    case Type::kInt:
+      if (const auto value = parse_number<std::int64_t>(text)) {
+        flag.int_value = *value;
         return true;
-      case Type::kDouble:
-        flag.double_value = std::stod(text);
+      }
+      return false;
+    case Type::kDouble:
+      if (const auto value = parse_number<double>(text)) {
+        flag.double_value = *value;
         return true;
-      case Type::kBool:
-        if (text == "true" || text == "1") {
-          flag.bool_value = true;
-        } else if (text == "false" || text == "0") {
-          flag.bool_value = false;
-        } else {
-          return false;
-        }
-        return true;
-      case Type::kString:
-        flag.string_value = text;
-        return true;
-    }
-  } catch (const std::exception&) {
-    return false;
+      }
+      return false;
+    case Type::kBool:
+      if (text == "true" || text == "1") {
+        flag.bool_value = true;
+      } else if (text == "false" || text == "0") {
+        flag.bool_value = false;
+      } else {
+        return false;
+      }
+      return true;
+    case Type::kString:
+      flag.string_value = text;
+      return true;
   }
   return false;
 }

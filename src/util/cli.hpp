@@ -7,12 +7,31 @@
 /// a boolean to true. Unknown flags abort with a usage message so typos in
 /// experiment sweeps are caught instead of silently running defaults.
 
+#include <charconv>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace coupon {
+
+/// Parses all of `text` as a number (an integer or floating type):
+/// nullopt on an empty string, a leading space or '+', trailing
+/// characters ("10x"), or overflow. A floating result may still be NaN
+/// or infinite; callers range-check. Shared by the flag parser and the
+/// "name:arg" scenario spellings.
+template <typename T>
+std::optional<T> parse_number(std::string_view text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) {
+    return std::nullopt;
+  }
+  return value;
+}
 
 /// Declarative flag registry with typed accessors.
 class CliFlags {

@@ -261,7 +261,7 @@ TEST(Fig5, GeneralizedBccBeatsLoadBalancing) {
   // a sizable fraction of draws (the coupon-collector Gumbel tail), so
   // the comparison conditions on covering placements — the operational
   // semantics of drawing a placement once and redrawing if it cannot
-  // possibly cover (see EXPERIMENTS.md).
+  // possibly cover.
   stats::Rng rng(7);
   stats::OnlineStats bcc_time, lb_time;
   std::size_t failures = 0;

@@ -68,25 +68,15 @@ TEST(RuntimeRegistry, UnknownNameDiagnosticSuggestsNearestRuntime) {
 TEST(RuntimeRegistry, CapabilityFlagsMatchTheRuntimes) {
   const auto& registry = RuntimeRegistry::instance();
   const auto& sim = registry.find("sim")->caps;
-  EXPECT_FALSE(sim.computes_gradients);
   EXPECT_TRUE(sim.simulated_clock);
-  EXPECT_TRUE(sim.honours_cluster_override);
-  EXPECT_TRUE(sim.honours_sim_only_scenarios);
-  EXPECT_FALSE(sim.honours_elasticity);
   EXPECT_FALSE(sim.spawns_processes);
 
   const auto& threaded = registry.find("threaded")->caps;
-  EXPECT_TRUE(threaded.computes_gradients);
   EXPECT_FALSE(threaded.simulated_clock);
-  EXPECT_FALSE(threaded.honours_sim_only_scenarios);
-  EXPECT_TRUE(threaded.honours_elasticity);
   EXPECT_FALSE(threaded.spawns_processes);
 
   const auto& process = registry.find("process")->caps;
-  EXPECT_TRUE(process.computes_gradients);
   EXPECT_FALSE(process.simulated_clock);
-  EXPECT_FALSE(process.honours_sim_only_scenarios);
-  EXPECT_TRUE(process.honours_elasticity);
   EXPECT_TRUE(process.spawns_processes);
 }
 

@@ -120,19 +120,40 @@ TEST(SweepPlan, CapabilityViolationsRejectedBeforeAnyCellRuns) {
   plan.loads = {2};  // divides: fine
   EXPECT_EQ(driver::expand_plan(plan).size(), 1u);
 
-  // Sim-only scenarios and cluster overrides are rejected up front under
-  // the threaded runtime.
+  // Sim-only scenarios are rejected up front under the threaded runtime.
   plan = driver::SweepPlan{};
   plan.base.runtime = "threaded";
   plan.scenarios = {"no_stragglers", "hetero"};
   EXPECT_THROW(driver::expand_plan(plan), std::invalid_argument);
+}
 
-  plan = driver::SweepPlan{};
+TEST(SweepPlan, BadScenarioArgumentsRejectedBeforeAnyCellRuns) {
+  // The name resolves but the argument does not build: planning must
+  // fail, not the cell after the good scenario's rows were streamed.
+  for (const char* bad :
+       {"lossy:abc", "fast_network:0", "trace:/nonexistent.csv"}) {
+    auto plan = small_plan();
+    plan.scenarios = {"shifted_exp", bad};
+    EXPECT_THROW(driver::expand_plan(plan), std::invalid_argument) << bad;
+    std::ostringstream os;
+    driver::CsvSummarySink sink(os);
+    driver::SweepOptions options;
+    options.threads = 1;
+    options.sink = &sink;
+    EXPECT_THROW(driver::run_sweep(plan, options), std::invalid_argument);
+    EXPECT_EQ(os.str(), "") << bad;  // not even a header: no cell ran
+  }
+
+  // A live-only scenario with a bad argument, on a live runtime.
+  driver::SweepPlan plan;
   plan.base.runtime = "threaded";
-  plan.base.cluster_override =
-      std::make_shared<const coupon::simulate::ClusterConfig>(
-          coupon::simulate::ec2_cluster());
+  plan.schemes = {"bcc"};
+  plan.workers = {4};
+  plan.loads = {2};
+  plan.scenarios = {"elastic:1@2-5", "elastic:zz"};
   EXPECT_THROW(driver::expand_plan(plan), std::invalid_argument);
+  plan.scenarios = {"elastic:1@2-5"};
+  EXPECT_EQ(driver::expand_plan(plan).size(), 1u);
 }
 
 TEST(SweepPlan, ParallelSweepIsBitIdenticalToSerial) {

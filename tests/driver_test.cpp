@@ -1,6 +1,6 @@
-// Tests for the experiment-driver layer: the scenario registry, runtime
-// factory, config plumbing (including the cluster carry-through fix),
-// and the RunRecord-producing entry points with their CSV/JSONL sinks.
+// Tests for the experiment-driver layer: the scenario registry (with its
+// parameterized spellings), runtime factory, config plumbing, and the
+// RunRecord-producing entry points with their CSV/JSONL sinks.
 
 #include <gtest/gtest.h>
 
@@ -123,8 +123,8 @@ TEST(ScenarioRegistry, ParameterizedTraceScenarioResolvesAndRuns) {
         << e.what();
   }
   // An argument on a non-parameterized scenario stays unknown.
-  EXPECT_EQ(registry.resolve("lossy:0.5"), nullptr);
-  EXPECT_THROW(registry.build("lossy:0.5", 4), std::invalid_argument);
+  EXPECT_EQ(registry.resolve("no_stragglers:0.5"), nullptr);
+  EXPECT_THROW(registry.build("no_stragglers:0.5", 4), std::invalid_argument);
 
   // The real thing: write a trace, select it as trace:<path>, run it.
   const std::string path = "driver_trace_scenario_test.csv";
@@ -148,10 +148,60 @@ TEST(ScenarioRegistry, ParameterizedTraceScenarioResolvesAndRuns) {
   }
   std::remove(path.c_str());
 
-  // A missing trace file surfaces as a clear error at run time.
+  // A missing trace file surfaces as a clear error when the scenario is
+  // built, so at selection as well as at run time.
+  EXPECT_THROW(registry.build("trace:no_such_file.csv", 4),
+               std::invalid_argument);
   driver::ExperimentConfig missing = config;
   missing.scenario = "trace:no_such_file.csv";
   EXPECT_THROW(driver::run_experiment(missing), std::invalid_argument);
+}
+
+TEST(ScenarioRegistry, LossyAndFastNetworkTakeAnArgument) {
+  const auto& registry = driver::ScenarioRegistry::instance();
+  const auto ec2 = coupon::simulate::ec2_cluster();
+  // Bare spellings build exactly the clusters they always have.
+  EXPECT_EQ(registry.build("lossy", 8).cluster.drop_probability, 0.05);
+  EXPECT_EQ(registry.build("lossy", 8).cluster.unit_transfer_seconds,
+            ec2.unit_transfer_seconds);
+  EXPECT_EQ(registry.build("fast_network", 8).cluster.unit_transfer_seconds,
+            ec2.unit_transfer_seconds / 10.0);
+  EXPECT_EQ(registry.build("fast_network", 8).cluster.drop_probability, 0.0);
+
+  const auto lossy = registry.build("lossy:0.2", 8);
+  EXPECT_EQ(lossy.name, "lossy:0.2");
+  EXPECT_TRUE(lossy.sim_only);
+  EXPECT_EQ(lossy.cluster.drop_probability, 0.2);
+  EXPECT_EQ(registry.build("lossy:0", 8).cluster.drop_probability, 0.0);
+  EXPECT_EQ(registry.build("lossy:1", 8).cluster.drop_probability, 1.0);
+  EXPECT_EQ(registry.build("lossy:0.05", 8).cluster.drop_probability,
+            registry.build("lossy", 8).cluster.drop_probability);
+
+  const auto fast = registry.build("fast_network:2", 8);
+  EXPECT_TRUE(fast.sim_only);
+  EXPECT_EQ(fast.cluster.unit_transfer_seconds,
+            ec2.unit_transfer_seconds / 2.0);
+  EXPECT_EQ(registry.build("fast_network:0.5", 8).cluster.unit_transfer_seconds,
+            ec2.unit_transfer_seconds / 0.5);
+  EXPECT_EQ(registry.build("fast_network:10", 8).cluster.unit_transfer_seconds,
+            registry.build("fast_network", 8).cluster.unit_transfer_seconds);
+
+  for (const char* bad :
+       {"lossy:", "lossy:abc", "lossy:0.5x", "lossy: 0.5", "lossy:+0.5",
+        "lossy:-0.1", "lossy:1.5", "lossy:nan", "lossy:inf",
+        "fast_network:", "fast_network:0", "fast_network:-2",
+        "fast_network:2x", "fast_network:inf", "fast_network:nan",
+        "fast_network:zz"}) {
+    ASSERT_NE(registry.resolve(bad), nullptr) << bad;  // the name resolves
+    try {
+      registry.build(bad, 8);
+      ADD_FAILURE() << "expected std::invalid_argument for " << bad;
+    } catch (const std::invalid_argument& e) {
+      // The diagnostic names the spelling.
+      EXPECT_NE(std::string(e.what()).find(bad), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ScenarioRegistry, RegisteredScenarioIsRunnable) {
@@ -238,40 +288,21 @@ TEST(RuntimeFactory, SpellingsAndNames) {
   EXPECT_NE(choices.find("process"), std::string::npos);
 }
 
-TEST(Driver, ConfigFromSimScenarioCopiesParametersAndCluster) {
-  auto scenario = coupon::simulate::ec2_scenario_two();
-  scenario.cluster.drop_probability = 0.25;  // a caller customization
-  const auto config = driver::config_from_sim_scenario(scenario);
-  EXPECT_EQ(config.num_workers, scenario.num_workers);
-  EXPECT_EQ(config.num_units, scenario.num_units);
-  EXPECT_EQ(config.load, scenario.load);
-  EXPECT_EQ(config.iterations, scenario.iterations);
-  EXPECT_EQ(config.seed, scenario.seed);
-  // The footgun fix: the customized cluster is carried, not discarded.
-  ASSERT_NE(config.cluster_override, nullptr);
-  EXPECT_DOUBLE_EQ(config.cluster_override->drop_probability, 0.25);
-}
-
-TEST(Driver, ClusterOverrideReachesTheSimulator) {
-  // drop_probability = 1 loses every message: with the override honoured,
-  // every iteration fails; if it were silently discarded, none would.
-  auto scenario = coupon::simulate::ec2_scenario_one();
-  scenario.num_workers = 10;
-  scenario.num_units = 10;
-  scenario.load = 2;
-  scenario.iterations = 6;
-  scenario.cluster.drop_probability = 1.0;
-  auto config = driver::config_from_sim_scenario(scenario);
+TEST(Driver, LossyArgumentReachesTheSimulator) {
+  // lossy:1 loses every message: uncoded, which needs all of them, fails
+  // every iteration; lossy:0 fails none.
+  auto config = driver::paper_scenario_one();
   config.scheme = "uncoded";
+  config.scenario = "lossy:1";
+  config.num_workers = 10;
+  config.num_units = 10;
+  config.load = 2;
+  config.iterations = 6;
   const auto record = driver::run_experiment(config);
+  EXPECT_EQ(record.scenario, "lossy:1");
   EXPECT_EQ(record.failures, config.iterations);
-}
-
-TEST(Driver, ClusterOverrideRejectedByThreadedRuntime) {
-  auto config = driver::config_from_sim_scenario(
-      coupon::simulate::ec2_scenario_one());
-  config.runtime = "threaded";
-  EXPECT_THROW(driver::run_experiment(config), std::invalid_argument);
+  config.scenario = "lossy:0";
+  EXPECT_EQ(driver::run_experiment(config).failures, 0u);
 }
 
 namespace {
@@ -382,6 +413,28 @@ TEST(Driver, UnknownNamesThrowListingChoices) {
   config = small_sim_config();
   config.runtime = "mpi";
   EXPECT_THROW(driver::run_experiment(config), std::invalid_argument);
+}
+
+TEST(Driver, ConfigFromFlagsRejectsNegativeCountsAndBadScenarioArguments) {
+  const auto from = [](const char* arg) {
+    coupon::CliFlags flags;
+    driver::add_experiment_flags(flags);
+    const char* argv[] = {"prog", arg};
+    EXPECT_TRUE(flags.parse(2, argv)) << arg;
+    return driver::config_from_flags(flags);
+  };
+  // A negative count would otherwise wrap to 2^64 - 1.
+  for (const char* bad :
+       {"--workers=-1", "--units=-1", "--load=-1", "--iterations=-1",
+        "--features=-1", "--examples_per_unit=-1", "--crash_iteration=-1",
+        "--scenario=lossy:abc", "--scenario=lossy:1.5",
+        "--scenario=fast_network:0", "--scenario=trace:no_such_file.csv"}) {
+    EXPECT_FALSE(from(bad).has_value()) << bad;
+  }
+  const auto lossy = from("--scenario=lossy:0.2");
+  ASSERT_TRUE(lossy.has_value());
+  EXPECT_EQ(lossy->scenario, "lossy:0.2");
+  EXPECT_TRUE(from("--iterations=0").has_value());
 }
 
 TEST(Driver, SimOnlyScenarioRejectedUnderThreadedRuntime) {

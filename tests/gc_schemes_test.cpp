@@ -296,19 +296,29 @@ TEST(GcConvergence, SgcBeatsUncodedToTargetUnderHeavyStragglers) {
   // nets the two effects at matched seeds. (The stock heavy_tail
   // scenario keeps the EC2 comm-dominated calibration, where per-
   // iteration times barely differ and the decode noise wins instead —
-  // hence the compute-dominated override.)
-  auto cluster = std::make_shared<coupon::simulate::ClusterConfig>();
-  cluster->unit_transfer_seconds = 1e-5;
-  cluster->broadcast_seconds = 1e-5;
-  cluster->latency_model = [](std::size_t) {
-    return std::make_unique<coupon::simulate::ParetoModel>(
-        /*scale_per_unit=*/2e-3, /*shape=*/1.2);
-  };
+  // hence this test's own compute-dominated scenario.)
+  auto& scenarios = coupon::driver::ScenarioRegistry::instance();
+  if (scenarios.find("test_compute_dominated_pareto") == nullptr) {
+    coupon::driver::ScenarioRegistration registration(
+        {.name = "test_compute_dominated_pareto",
+         .description = "Pareto(1.2) compute, near-free network (test)",
+         .sim_only = true,
+         .builder = [](std::size_t) {
+           coupon::driver::Scenario scenario;
+           scenario.cluster.unit_transfer_seconds = 1e-5;
+           scenario.cluster.broadcast_seconds = 1e-5;
+           scenario.cluster.latency_model = [](std::size_t) {
+             return std::make_unique<coupon::simulate::ParetoModel>(
+                 /*scale_per_unit=*/2e-3, /*shape=*/1.2);
+           };
+           return scenario;
+         },
+         .param_builder = {}});
+  }
 
   coupon::driver::ExperimentConfig config;
   config.scheme = "sgc";
-  config.scenario = "heavy_tail";
-  config.cluster_override = cluster;
+  config.scenario = "test_compute_dominated_pareto";
   config.runtime = "sim";
   config.train = true;
   config.num_workers = 10;

@@ -266,18 +266,24 @@ TEST(WriteIterationCsv, EmitsHeaderAndOneLinePerIteration) {
 // --- paper scenarios ---------------------------------------------------------------------
 
 TEST(Scenario, Ec2ConfigsMatchThePaper) {
-  const auto s1 = ec2_scenario_one();
+  const auto s1 = driver::paper_scenario_one();
   EXPECT_EQ(s1.num_workers, 50u);
   EXPECT_EQ(s1.num_units, 50u);
   EXPECT_EQ(s1.load, 10u);
   EXPECT_EQ(s1.iterations, 100u);
-  const auto s2 = ec2_scenario_two();
+  EXPECT_EQ(s1.scenario, "shifted_exp");
+  EXPECT_EQ(s1.seed, 0xEC2001u);
+  const auto s2 = driver::paper_scenario_two();
   EXPECT_EQ(s2.num_workers, 100u);
   EXPECT_EQ(s2.num_units, 100u);
+  EXPECT_EQ(s2.load, 10u);
+  EXPECT_EQ(s2.iterations, 100u);
+  EXPECT_EQ(s2.scenario, "shifted_exp");
+  EXPECT_EQ(s2.seed, 0xEC2002u);
 }
 
-/// Runs each scheme through `scenario` on the simulated runtime at
-/// `kPlacements` consecutive seeds from the scenario's own, and returns
+/// Runs each scheme through the `preset` on the simulated runtime at
+/// `kPlacements` consecutive seeds from the preset's own, and returns
 /// one record per scheme, in input order, holding the means over those
 /// seeds of the recovery threshold and the per-phase and total times.
 /// Each seed draws one BCC placement, so the means track the expected
@@ -285,14 +291,15 @@ TEST(Scenario, Ec2ConfigsMatchThePaper) {
 /// draw has a few-percent chance of a batch that only two or three
 /// workers picked, which alone doubles BCC's K.
 std::vector<driver::RunRecord> run_schemes(
-    const ScenarioConfig& scenario, const std::vector<std::string>& schemes) {
+    const driver::ExperimentConfig& preset,
+    const std::vector<std::string>& schemes) {
   constexpr std::size_t kPlacements = 8;
   driver::SweepPlan plan;
-  plan.base = driver::config_from_sim_scenario(scenario);
+  plan.base = preset;
   plan.base.record_trace = false;
   plan.schemes = schemes;
   for (std::uint64_t k = 0; k < kPlacements; ++k) {
-    plan.seeds.push_back(scenario.seed + k);
+    plan.seeds.push_back(preset.seed + k);
   }
   const std::vector<driver::RunRecord> records = driver::run_sweep(plan);
   std::vector<driver::RunRecord> means;
@@ -315,7 +322,8 @@ std::vector<driver::RunRecord> run_schemes(
 }
 
 TEST(Scenario, Fig4ShapeHoldsInScenarioOne) {
-  const auto rows = run_schemes(ec2_scenario_one(), {"uncoded", "cr", "bcc"});
+  const auto rows =
+      run_schemes(driver::paper_scenario_one(), {"uncoded", "cr", "bcc"});
   ASSERT_EQ(rows.size(), 3u);
   const auto& uncoded = rows[0];
   const auto& cr = rows[1];
@@ -342,7 +350,8 @@ TEST(Scenario, Fig4ShapeHoldsInScenarioOne) {
 }
 
 TEST(Scenario, Fig4ShapeHoldsInScenarioTwo) {
-  const auto rows = run_schemes(ec2_scenario_two(), {"uncoded", "cr", "bcc"});
+  const auto rows =
+      run_schemes(driver::paper_scenario_two(), {"uncoded", "cr", "bcc"});
   const auto& uncoded = rows[0];
   const auto& cr = rows[1];
   const auto& bcc = rows[2];
@@ -357,7 +366,8 @@ TEST(Scenario, Fig4ShapeHoldsInScenarioTwo) {
 TEST(Scenario, TotalTimeTracksRecoveryThreshold) {
   // The paper's Tables I/II observation: total time is approximately
   // proportional to K when communication dominates.
-  const auto rows = run_schemes(ec2_scenario_two(), {"uncoded", "cr", "bcc"});
+  const auto rows =
+      run_schemes(driver::paper_scenario_two(), {"uncoded", "cr", "bcc"});
   for (const auto& a : rows) {
     for (const auto& b : rows) {
       if (a.recovery_threshold <= b.recovery_threshold) {

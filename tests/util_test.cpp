@@ -151,6 +151,23 @@ TEST(CliFlags, RejectsBadValue) {
   flags.add_int("n", 10, "workers");
   const char* argv[] = {"prog", "--n=abc"};
   EXPECT_FALSE(flags.parse(2, argv));
+  // The whole value must parse: no prefix is taken from "10x" or "7junk",
+  // and an empty value is not a number.
+  for (const char* bad : {"--n=10x", "--n=7junk", "--n=", "--n=0.5",
+                          "--x=0.5abc", "--x=", "--x=1e", "--n= 5"}) {
+    CliFlags strict;
+    strict.add_int("n", 10, "workers").add_double("x", 1.5, "rate");
+    const char* args[] = {"prog", bad};
+    EXPECT_FALSE(strict.parse(2, args)) << bad;
+    EXPECT_EQ(strict.get_int("n"), 10) << bad;
+    EXPECT_EQ(strict.get_double("x"), 1.5) << bad;
+  }
+  CliFlags good;
+  good.add_int("n", 10, "workers").add_double("x", 1.5, "rate");
+  const char* args[] = {"prog", "--n=-7", "--x=2.5e-3"};
+  ASSERT_TRUE(good.parse(3, args));
+  EXPECT_EQ(good.get_int("n"), -7);
+  EXPECT_EQ(good.get_double("x"), 2.5e-3);
 }
 
 TEST(CliFlags, RejectsMissingValue) {

@@ -71,18 +71,13 @@ std::vector<std::string> split_list(const std::string& text) {
 bool parse_size_list(const std::string& flag, const std::string& text,
                      std::vector<std::size_t>& out) {
   for (const auto& item : split_list(text)) {
-    try {
-      std::size_t pos = 0;
-      const long long value = std::stoll(item, &pos);
-      if (pos != item.size() || value < 0) {
-        throw std::invalid_argument(item);
-      }
-      out.push_back(static_cast<std::size_t>(value));
-    } catch (const std::exception&) {
+    const auto value = parse_number<std::size_t>(item);
+    if (!value) {
       std::fprintf(stderr, "--%s: '%s' is not a non-negative integer\n",
                    flag.c_str(), item.c_str());
       return false;
     }
+    out.push_back(*value);
   }
   return true;
 }
@@ -160,16 +155,9 @@ int list_registries() {
   const auto& runtimes = coupon::driver::RuntimeRegistry::instance();
   for (const auto& name : runtimes.names()) {
     const auto* entry = runtimes.find(name);
-    std::string tags;
-    if (entry->caps.computes_gradients) {
-      tags += " [trains]";
-    }
-    if (entry->caps.simulated_clock) {
-      tags += " [simulated-clock]";
-    }
-    if (entry->caps.honours_elasticity) {
-      tags += " [elastic]";
-    }
+    // A live runtime both trains and runs elastic scenarios.
+    std::string tags = entry->caps.simulated_clock ? " [simulated-clock]"
+                                                   : " [trains] [elastic]";
     if (entry->caps.spawns_processes) {
       tags += " [processes]";
     }
@@ -329,6 +317,11 @@ int run_sweep_mode(const CliFlags& flags,
   coupon::driver::TeeSink tee(sinks);
 
   coupon::driver::SweepOptions options;
+  if (flags.get_int("threads") < 0) {
+    std::fprintf(stderr, "--threads must be >= 0, got %lld\n",
+                 static_cast<long long>(flags.get_int("threads")));
+    return 1;
+  }
   options.threads = static_cast<std::size_t>(flags.get_int("threads"));
   options.sink = &tee;
 
