@@ -7,19 +7,53 @@
 // the P2-optimal loads for s = floor(m log m). The paper reports a
 // 29.28% reduction in average computation time (LB ~ 1000, BCC ~ 700).
 //
-// A placement whose union cannot cover all m examples can never finish;
-// runs report the coverage-conditional mean plus the failure rate.
-// Conditioning is the operational semantics: a placement is drawn once
-// and redrawn if it cannot possibly cover.
+// Both schemes run on the common timing kernel (`simulate_run`) with the
+// Eq. 15 profiles as per-worker latency overrides and no ingress or
+// broadcast cost, so an iteration's time is the compute time of the
+// arrival that recovers. Generalized BCC is `SimpleRandomScheme` over
+// the P2 loads: each trial draws a fresh placement and runs it for one
+// iteration. LB is `UncodedScheme` over mu-proportional disjoint loads,
+// run for one iteration alongside each covering placement.
+//
+// A placement whose union cannot cover all m examples can never finish
+// (the run reports a failure); the table reports the coverage-conditional
+// mean plus the failure rate. Conditioning is the operational semantics:
+// a placement is drawn once and redrawn if it cannot possibly cover.
 
 #include <cmath>
 #include <cstdio>
 #include <numeric>
+#include <optional>
+#include <span>
 
 #include "core/hetero.hpp"
+#include "core/simple_random.hpp"
+#include "core/uncoded.hpp"
+#include "simulate/cluster_sim.hpp"
 #include "stats/rng.hpp"
 #include "stats/summary.hpp"
 #include "util/util.hpp"
+
+namespace {
+
+namespace simulate = coupon::simulate;
+
+/// Draws one generalized-BCC placement over `loads` and runs it for one
+/// iteration: the coverage time, or nothing when it cannot cover.
+std::optional<double> coverage_time(std::size_t m,
+                                    std::span<const std::size_t> loads,
+                                    const simulate::ClusterConfig& cluster,
+                                    coupon::stats::Rng& rng) {
+  const coupon::core::SimpleRandomScheme scheme(m, loads, rng);
+  const auto run =
+      simulate::simulate_run(scheme, cluster, {.iterations = 1}, rng);
+  if (run.failures == 1) {
+    return std::nullopt;
+  }
+  return run.total_time;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   coupon::CliFlags flags;
@@ -63,23 +97,28 @@ int main(int argc, char** argv) {
     refined_loads = refined.loads;
   }
 
+  simulate::ClusterConfig cluster;
+  cluster.unit_transfer_seconds = 0.0;
+  for (const auto& w : workers) {
+    cluster.worker_overrides.push_back({w.shift, w.straggle});
+  }
+
+  const coupon::core::UncodedScheme lb(lb_loads);
   coupon::stats::OnlineStats bcc_time, refined_time, lb_time;
   std::size_t failures = 0;
   const auto trials = static_cast<std::size_t>(flags.get_int("trials"));
   for (std::size_t t = 0; t < trials; ++t) {
-    const auto outcome =
-        hetero::simulate_generalized_bcc(workers, alloc.loads, m, rng);
-    if (!outcome.covered) {
+    const auto time = coverage_time(m, alloc.loads, cluster, rng);
+    if (!time) {
       ++failures;
       continue;
     }
-    bcc_time.add(outcome.time);
-    lb_time.add(hetero::simulate_load_balanced(workers, lb_loads, rng));
+    bcc_time.add(*time);
+    lb_time.add(
+        simulate::simulate_run(lb, cluster, {.iterations = 1}, rng).total_time);
     if (refine_steps > 0) {
-      const auto refined_outcome =
-          hetero::simulate_generalized_bcc(workers, refined_loads, m, rng);
-      if (refined_outcome.covered) {
-        refined_time.add(refined_outcome.time);
+      if (const auto refined = coverage_time(m, refined_loads, cluster, rng)) {
+        refined_time.add(*refined);
       }
     }
   }

@@ -128,6 +128,20 @@ run "${BUILD_DIR}/tools/coupon_run" --scheme uncoded \
     --scenario "trace:${TMP_DIR}/trace.csv" --workers 4 --units 4 --load 1 \
     --iterations 4 --out "${TMP_DIR}/trace_run.csv"
 test -s "${TMP_DIR}/trace_run.csv"
+# A trace that opens but does not parse is rejected at sweep planning:
+# exit 1 before any cell runs, so not even the good scenario's rows (or
+# the CSV header) reach stdout.
+printf '0.001,abc,0.003\n' > "${TMP_DIR}/bad_trace.csv"
+echo "==> rejects a malformed trace: sweep"
+status=0
+"${BUILD_DIR}/tools/coupon_run" --sweep --schemes bcc,uncoded \
+    --scenarios "shifted_exp,trace:${TMP_DIR}/bad_trace.csv" --workers 3 \
+    --units 3 --load 1 --iterations 2 --threads 1 --out - \
+    > "${TMP_DIR}/bad_sweep.csv" 2> "${TMP_DIR}/reject.err" || status=$?
+test "${status}" -eq 1
+test -s "${TMP_DIR}/reject.err"
+test ! -s "${TMP_DIR}/bad_sweep.csv"
+expect_rejected --worker_timeout_ms -1 --iterations 2
 
 # --- benches -------------------------------------------------------------
 run "${BUILD_DIR}/bench/bench_ablation_coverage" --trials 200
@@ -138,7 +152,11 @@ run "${BUILD_DIR}/bench/bench_ablation_r_sweep" --iterations 5 --placements 2
 run "${BUILD_DIR}/bench/bench_coupon_tail" --trials 500
 run "${BUILD_DIR}/bench/bench_fig2_tradeoff" --trials 50 --quick --workers 100
 run "${BUILD_DIR}/bench/bench_fig4_runtime" --iterations 5
-run "${BUILD_DIR}/bench/bench_fig5_heterogeneous" --trials 50 --refine_steps 10
+echo "==> bench_fig5_heterogeneous"
+"${BUILD_DIR}/bench/bench_fig5_heterogeneous" --trials 50 --refine_steps 10 \
+    > "${TMP_DIR}/fig5.txt"
+grep -q "reduction in average computation time" "${TMP_DIR}/fig5.txt"
+grep -q "coverage failures" "${TMP_DIR}/fig5.txt"
 run "${BUILD_DIR}/bench/bench_fig6_convergence" --quick \
     --csv "${TMP_DIR}/fig6.csv"
 test -s "${TMP_DIR}/fig6.csv"

@@ -5,27 +5,9 @@
 #include <numeric>
 
 #include "core/theory.hpp"
-#include "stats/distributions.hpp"
 #include "util/assert.hpp"
 
 namespace coupon::core::hetero {
-
-std::vector<double> sample_completion_times(
-    std::span<const WorkerProfile> workers,
-    std::span<const std::size_t> loads, stats::Rng& rng) {
-  COUPON_ASSERT(workers.size() == loads.size());
-  std::vector<double> times(workers.size(), kInf);
-  for (std::size_t i = 0; i < workers.size(); ++i) {
-    if (loads[i] == 0) {
-      continue;
-    }
-    const auto dist = stats::ShiftedExponential::for_load(
-        workers[i].shift, workers[i].straggle,
-        static_cast<double>(loads[i]));
-    times[i] = dist.sample(rng);
-  }
-  return times;
-}
 
 double t_hat(std::span<const double> completion_times,
              std::span<const std::size_t> loads, std::size_t s) {
@@ -49,18 +31,49 @@ double t_hat(std::span<const double> completion_times,
   return kInf;
 }
 
-double mc_expected_t_hat(std::span<const WorkerProfile> workers,
-                         std::span<const std::size_t> loads, std::size_t s,
-                         std::size_t trials, stats::Rng& rng) {
-  COUPON_ASSERT(trials > 0);
+namespace {
+
+/// Mean T-hat(s) over trial-major Exp(1) draws `base` (n per trial):
+/// worker i's Eq. 15 completion time under load l is a_i l + (l/mu_i) *
+/// base. Unloaded workers never report.
+double mean_t_hat(std::span<const WorkerProfile> workers,
+                  std::span<const std::size_t> loads, std::size_t s,
+                  std::span<const double> base) {
+  const std::size_t n = workers.size();
+  COUPON_ASSERT(loads.size() == n && n > 0 && !base.empty() &&
+                base.size() % n == 0);
+  const std::size_t trials = base.size() / n;
+  std::vector<double> times(n);
   double total = 0.0;
   for (std::size_t t = 0; t < trials; ++t) {
-    const auto times = sample_completion_times(workers, loads, rng);
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto l = static_cast<double>(loads[i]);
+      times[i] = loads[i] == 0 ? kInf
+                               : workers[i].shift * l +
+                                     l / workers[i].straggle * base[t * n + i];
+    }
     const double v = t_hat(times, loads, s);
     COUPON_ASSERT_MSG(v != kInf, "T-hat(s) unreachable: total load < s");
     total += v;
   }
   return total / static_cast<double>(trials);
+}
+
+std::vector<double> exp1_draws(std::size_t count, stats::Rng& rng) {
+  std::vector<double> base(count);
+  for (double& b : base) {
+    b = rng.exponential(1.0);
+  }
+  return base;
+}
+
+}  // namespace
+
+double mc_expected_t_hat(std::span<const WorkerProfile> workers,
+                         std::span<const std::size_t> loads, std::size_t s,
+                         std::size_t trials, stats::Rng& rng) {
+  return mean_t_hat(workers, loads, s,
+                    exp1_draws(trials * workers.size(), rng));
 }
 
 double optimal_normalized_deadline(const WorkerProfile& worker) {
@@ -200,34 +213,11 @@ RefineResult refine_loads(std::span<const WorkerProfile> workers,
   const std::size_t n = workers.size();
   COUPON_ASSERT(initial_loads.size() == n && trials > 0 && max_load > 0);
 
-  // Common random numbers: one Exp(1) draw per (trial, worker); a
-  // worker's completion time under load l is a*l + (l/mu) * base.
-  std::vector<double> base(trials * n);
-  for (double& b : base) {
-    b = rng.exponential(1.0);
-  }
-  std::vector<double> times(n);
-  auto estimate = [&](const std::vector<std::size_t>& loads) {
-    double total = 0.0;
-    for (std::size_t t = 0; t < trials; ++t) {
-      for (std::size_t i = 0; i < n; ++i) {
-        if (loads[i] == 0) {
-          times[i] = kInf;
-          continue;
-        }
-        const auto l = static_cast<double>(loads[i]);
-        times[i] = workers[i].shift * l +
-                   l / workers[i].straggle * base[t * n + i];
-      }
-      const double v = t_hat(times, loads, s);
-      COUPON_ASSERT_MSG(v != kInf, "refine_loads: total load < s");
-      total += v;
-    }
-    return total / static_cast<double>(trials);
-  };
-
+  // Common random numbers: one Exp(1) draw set, reused for every
+  // candidate allocation.
+  const std::vector<double> base = exp1_draws(trials * n, rng);
   RefineResult best{std::move(initial_loads), 0.0};
-  best.estimate = estimate(best.loads);
+  best.estimate = mean_t_hat(workers, best.loads, s, base);
   for (std::size_t step = 0; step < steps; ++step) {
     const auto donor = static_cast<std::size_t>(rng.uniform_int(n));
     const auto receiver = static_cast<std::size_t>(rng.uniform_int(n));
@@ -237,7 +227,7 @@ RefineResult refine_loads(std::span<const WorkerProfile> workers,
     }
     --best.loads[donor];
     ++best.loads[receiver];
-    const double candidate = estimate(best.loads);
+    const double candidate = mean_t_hat(workers, best.loads, s, base);
     if (candidate < best.estimate) {
       best.estimate = candidate;
     } else {
@@ -276,62 +266,6 @@ std::vector<std::size_t> load_balanced_assignment(
     ++assigned;
   }
   return loads;
-}
-
-CoverageOutcome simulate_generalized_bcc(
-    std::span<const WorkerProfile> workers,
-    std::span<const std::size_t> loads, std::size_t num_examples,
-    stats::Rng& rng) {
-  COUPON_ASSERT(workers.size() == loads.size() && num_examples > 0);
-  const auto times = sample_completion_times(workers, loads, rng);
-  std::vector<std::size_t> order;
-  order.reserve(workers.size());
-  for (std::size_t i = 0; i < workers.size(); ++i) {
-    if (loads[i] > 0) {
-      order.push_back(i);
-    }
-  }
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return times[a] < times[b];
-  });
-
-  std::vector<bool> covered(num_examples, false);
-  std::size_t num_covered = 0;
-  CoverageOutcome outcome;
-  for (std::size_t i : order) {
-    ++outcome.workers_heard;
-    outcome.time = times[i];
-    // Worker i's placement: loads[i] distinct uniform examples (G0 of the
-    // Theorem 2 proof, drawn independently per run).
-    for (std::size_t j :
-         rng.sample_without_replacement(num_examples,
-                                        std::min(loads[i], num_examples))) {
-      if (!covered[j]) {
-        covered[j] = true;
-        ++num_covered;
-      }
-    }
-    if (num_covered == num_examples) {
-      outcome.covered = true;
-      return outcome;
-    }
-  }
-  outcome.covered = false;  // all deliveries exhausted without coverage
-  return outcome;
-}
-
-double simulate_load_balanced(std::span<const WorkerProfile> workers,
-                              std::span<const std::size_t> loads,
-                              stats::Rng& rng) {
-  COUPON_ASSERT(workers.size() == loads.size());
-  const auto times = sample_completion_times(workers, loads, rng);
-  double worst = 0.0;
-  for (std::size_t i = 0; i < workers.size(); ++i) {
-    if (loads[i] > 0) {
-      worst = std::max(worst, times[i]);
-    }
-  }
-  return worst;
 }
 
 double theorem2_c(std::span<const WorkerProfile> workers,

@@ -1,7 +1,13 @@
 #pragma once
 
 /// \file hetero.hpp
-/// Generalized BCC for heterogeneous clusters (Section IV of the paper).
+/// The math of generalized BCC for heterogeneous clusters (Section IV of
+/// the paper): the P2 load allocator, T-hat(s), and Theorem 2's constant.
+/// Simulation goes through the common timing kernel: generalized BCC is
+/// `SimpleRandomScheme(m, loads, rng)` and the load-balancing (LB)
+/// baseline is `UncodedScheme(load_balanced_assignment(...))`, both run
+/// by `simulate::simulate_run` with per-worker latency overrides
+/// (bench/fig5_heterogeneous.cpp, examples/heterogeneous_cluster.cpp).
 ///
 /// Model: worker i, assigned r_i examples, finishes (computes all its
 /// partial gradients and delivers them, each communicated separately) at
@@ -38,18 +44,13 @@ struct WorkerProfile {
   double straggle = 1.0;  ///< mu_i > 0, exponential tail parameter
 };
 
-/// Samples each worker's completion time given its load; workers with
-/// load 0 never report (+infinity).
-std::vector<double> sample_completion_times(
-    std::span<const WorkerProfile> workers,
-    std::span<const std::size_t> loads, stats::Rng& rng);
-
 /// T-hat(s) of Eq. 18: first time the cumulative delivered load reaches
 /// `s`. Returns +infinity when total load < s.
 double t_hat(std::span<const double> completion_times,
              std::span<const std::size_t> loads, std::size_t s);
 
-/// Monte-Carlo estimate of E[T-hat(s)] for a fixed allocation.
+/// Monte-Carlo estimate of E[T-hat(s)] for a fixed allocation, over
+/// `trials` fresh Eq. 15 draws per worker (unloaded workers never report).
 double mc_expected_t_hat(std::span<const WorkerProfile> workers,
                          std::span<const std::size_t> loads, std::size_t s,
                          std::size_t trials, stats::Rng& rng);
@@ -99,28 +100,6 @@ RefineResult refine_loads(std::span<const WorkerProfile> workers,
 /// summing to exactly `num_examples` (largest-remainder rounding).
 std::vector<std::size_t> load_balanced_assignment(
     std::span<const WorkerProfile> workers, std::size_t num_examples);
-
-/// Outcome of one generalized-BCC coverage run.
-struct CoverageOutcome {
-  double time = 0.0;             ///< coverage time T (Eq. 16)
-  std::size_t workers_heard = 0; ///< deliveries consumed until coverage
-  bool covered = false;          ///< false if all loads together missed
-                                 ///< some example (time = last delivery)
-};
-
-/// One run of generalized BCC: worker i samples `loads[i]` distinct
-/// examples uniformly (placement G0 of the Theorem 2 proof), completion
-/// times are drawn from Eq. 15, and the master stops at coverage.
-CoverageOutcome simulate_generalized_bcc(
-    std::span<const WorkerProfile> workers,
-    std::span<const std::size_t> loads, std::size_t num_examples,
-    stats::Rng& rng);
-
-/// One run of the LB baseline: disjoint placement, so the master must
-/// wait for every worker with a positive load. Returns max_i T_i.
-double simulate_load_balanced(std::span<const WorkerProfile> workers,
-                              std::span<const std::size_t> loads,
-                              stats::Rng& rng);
 
 /// Theorem 2's constant c = 2 + log(a + H_n/mu) / log m with
 /// a = max_i a_i and mu = min_i mu_i.

@@ -1,5 +1,7 @@
 #include "core/simple_random.hpp"
 
+#include <algorithm>
+
 #include "core/collectors.hpp"
 #include "util/assert.hpp"
 
@@ -7,11 +9,17 @@ namespace coupon::core {
 
 namespace {
 
-data::Placement draw_placement(std::size_t num_workers, std::size_t num_units,
-                               std::size_t load, stats::Rng& rng) {
-  data::Placement placement(num_workers, num_units);
-  for (std::size_t i = 0; i < num_workers; ++i) {
-    placement.worker(i) = rng.sample_without_replacement(num_units, load);
+data::Placement draw_placement(std::size_t num_units,
+                               std::span<const std::size_t> loads,
+                               stats::Rng& rng) {
+  const std::size_t max_load =
+      loads.empty() ? 0 : *std::max_element(loads.begin(), loads.end());
+  COUPON_ASSERT_MSG(max_load >= 1 && max_load <= num_units,
+                    "load r must be in [1, m] (per-worker loads in [0, m], "
+                    "at least one positive)");
+  data::Placement placement(loads.size(), num_units);
+  for (std::size_t i = 0; i < loads.size(); ++i) {
+    placement.worker(i) = rng.sample_without_replacement(num_units, loads[i]);
   }
   return placement;
 }
@@ -21,11 +29,13 @@ data::Placement draw_placement(std::size_t num_workers, std::size_t num_units,
 SimpleRandomScheme::SimpleRandomScheme(std::size_t num_workers,
                                        std::size_t num_units,
                                        std::size_t load, stats::Rng& rng)
-    : Scheme(draw_placement(num_workers, num_units, load, rng)),
-      load_(load) {
-  COUPON_ASSERT_MSG(load >= 1 && load <= num_units,
-                    "load r must be in [1, m]");
-}
+    : SimpleRandomScheme(num_units, std::vector<std::size_t>(num_workers, load),
+                         rng) {}
+
+SimpleRandomScheme::SimpleRandomScheme(std::size_t num_units,
+                                       std::span<const std::size_t> loads,
+                                       stats::Rng& rng)
+    : Scheme(draw_placement(num_units, loads, rng)) {}
 
 void SimpleRandomScheme::encode_into(std::size_t worker,
                                      const UnitGradientSource& source,

@@ -8,6 +8,13 @@
 /// K ≈ (m/r) log m workers on average — near optimal — but each worker
 /// ships r gradient-sized messages, so the communication load blows up to
 /// L ≈ m log m. BCC keeps the first property and fixes the second.
+///
+/// With per-worker loads r_i this is also the paper's generalized BCC for
+/// heterogeneous clusters (Section IV, placement G0 of the Theorem 2
+/// proof): worker i draws r_i distinct units, with r_i from the P2
+/// allocator in core/hetero.hpp.
+
+#include <span>
 
 #include "core/scheme.hpp"
 
@@ -16,8 +23,15 @@ namespace coupon::core {
 /// Per-example random placement with individual (unencoded) messages.
 class SimpleRandomScheme final : public Scheme {
  public:
+  /// Every worker draws r = `load` units, r in [1, m].
   SimpleRandomScheme(std::size_t num_workers, std::size_t num_units,
                      std::size_t load, stats::Rng& rng);
+
+  /// Worker i draws `loads[i]` distinct units uniformly from the m, one
+  /// `sample_without_replacement` per worker in worker order. Each load
+  /// is in [0, m] and at least one is positive.
+  SimpleRandomScheme(std::size_t num_units,
+                     std::span<const std::size_t> loads, stats::Rng& rng);
 
   std::string_view registry_name() const override { return "simple_random"; }
   std::string_view name() const override { return "simple randomized"; }
@@ -43,14 +57,12 @@ class SimpleRandomScheme final : public Scheme {
     return std::nullopt;
   }
 
-  /// Each message covers at most r distinct units, so covering all m
-  /// units takes at least ceil(m/r) arrivals.
+  /// Each message covers at most max_i r_i distinct units, so covering
+  /// all m units takes at least ceil(m / max_i r_i) arrivals.
   std::size_t min_arrivals_hint() const override {
-    return (num_units() + load_ - 1) / load_;
+    const std::size_t max_load = placement_.computational_load();
+    return (num_units() + max_load - 1) / max_load;
   }
-
- private:
-  std::size_t load_;
 };
 
 }  // namespace coupon::core

@@ -1,5 +1,7 @@
 #include "core/uncoded.hpp"
 
+#include <numeric>
+
 #include "core/collectors.hpp"
 #include "linalg/vector_ops.hpp"
 #include "util/assert.hpp"
@@ -42,30 +44,40 @@ class UncodedCollector final : public WorkerSlotCollector {
   std::vector<std::size_t> worker_units_;
 };
 
-data::Placement even_split(std::size_t num_workers, std::size_t num_units) {
-  data::Placement placement(num_workers, num_units);
-  const std::size_t base = num_units / num_workers;
-  const std::size_t extra = num_units % num_workers;
-  std::size_t next = 0;
-  for (std::size_t i = 0; i < num_workers; ++i) {
-    const std::size_t len = base + (i < extra ? 1 : 0);
-    auto& g = placement.worker(i);
-    g.reserve(len);
-    for (std::size_t k = 0; k < len; ++k) {
-      g.push_back(next++);
-    }
+/// floor(m/n) or ceil(m/n) units per worker, the larger blocks first.
+std::vector<std::size_t> even_loads(std::size_t num_workers,
+                                    std::size_t num_units) {
+  COUPON_ASSERT_MSG(num_workers >= 1 && num_units >= num_workers,
+                    "uncoded requires m >= n so every worker has work");
+  std::vector<std::size_t> loads(num_workers, num_units / num_workers);
+  for (std::size_t i = 0; i < num_units % num_workers; ++i) {
+    ++loads[i];
   }
-  COUPON_ASSERT(next == num_units);
+  return loads;
+}
+
+data::Placement contiguous_blocks(std::span<const std::size_t> loads) {
+  const std::size_t num_units =
+      std::accumulate(loads.begin(), loads.end(), std::size_t{0});
+  COUPON_ASSERT_MSG(num_units >= 1, "uncoded requires sum_i r_i >= 1");
+  data::Placement placement(loads.size(), num_units);
+  std::size_t next = 0;
+  for (std::size_t i = 0; i < loads.size(); ++i) {
+    auto& g = placement.worker(i);
+    g.resize(loads[i]);
+    std::iota(g.begin(), g.end(), next);
+    next += loads[i];
+  }
   return placement;
 }
 
 }  // namespace
 
 UncodedScheme::UncodedScheme(std::size_t num_workers, std::size_t num_units)
-    : Scheme(even_split(num_workers, num_units)) {
-  COUPON_ASSERT_MSG(num_workers >= 1 && num_units >= num_workers,
-                    "uncoded requires m >= n so every worker has work");
-}
+    : UncodedScheme(even_loads(num_workers, num_units)) {}
+
+UncodedScheme::UncodedScheme(std::span<const std::size_t> loads)
+    : Scheme(contiguous_blocks(loads)) {}
 
 void UncodedScheme::encode_into(std::size_t worker,
                                 const UnitGradientSource& source,

@@ -5,6 +5,12 @@
 /// and evenly across the n workers, each worker ships the sum of its
 /// partial gradients, and the master must wait for *all* workers —
 /// recovery threshold K = n, maximally exposed to stragglers.
+///
+/// With per-worker loads r_i this is also the paper's load-balancing (LB)
+/// baseline for heterogeneous clusters (Section IV, Fig. 5): r_i
+/// proportional to mu_i (`hetero::load_balanced_assignment`), disjoint.
+
+#include <span>
 
 #include "core/scheme.hpp"
 
@@ -17,6 +23,11 @@ class UncodedScheme final : public Scheme {
   /// ceil(m/n) units. Requires m >= n >= 1 (every worker gets work; the
   /// paper's setting is m = n units via super-examples).
   UncodedScheme(std::size_t num_workers, std::size_t num_units);
+
+  /// Worker i gets the next contiguous block of `loads[i]` units, so
+  /// m = sum_i r_i. Zero loads are allowed (the worker reports an empty
+  /// sum); m >= 1 is required.
+  explicit UncodedScheme(std::span<const std::size_t> loads);
 
   std::string_view registry_name() const override { return "uncoded"; }
   std::string_view name() const override { return "uncoded"; }

@@ -1,6 +1,5 @@
 #include "driver/runtime.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <stdexcept>
 #include <type_traits>
@@ -201,8 +200,8 @@ RunRecord run_live(const Runtime& live, const ExperimentConfig& config) {
       engine_options(config, workload);
   options.straggler = scenario.straggler;
   options.elasticity = scenario.elasticity;
-  options.worker_timeout = std::chrono::milliseconds(
-      std::max<std::int64_t>(0, config.worker_timeout_ms));
+  options.worker_timeout =
+      std::chrono::milliseconds(config.worker_timeout_ms);
   if (config.crash_worker) {
     options.crash = runtime::CrashPlan{.worker = *config.crash_worker,
                                        .iteration = config.crash_iteration};

@@ -115,6 +115,11 @@ void check_runtime_accepts(const RuntimeEntry& runtime,
         "' needs a live cluster (workers join/leave)" + on +
         "cannot express it — use --runtime threaded or process");
   }
+  if (config.worker_timeout_ms < 0) {
+    throw std::invalid_argument(
+        "worker_timeout_ms must be >= 0 (0 = wait forever), got " +
+        std::to_string(config.worker_timeout_ms));
+  }
   if (config.crash_worker) {
     if (!caps.spawns_processes) {
       throw std::invalid_argument(

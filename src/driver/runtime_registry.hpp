@@ -95,8 +95,10 @@ class RuntimeRegistry {
 /// capabilities cannot honour `config`: a sim_only scenario without a
 /// simulated clock, a live_only (elastic) scenario with one, or a crash
 /// drill on a runtime without worker processes — or naming a worker
-/// outside [0, num_workers). Only the scenario *name* is resolved here;
-/// a "name:arg" argument is parsed when the scenario is built.
+/// outside [0, num_workers) — or a negative `worker_timeout_ms` (which
+/// would otherwise read as "wait forever"). Only the scenario *name* is
+/// resolved here; a "name:arg" argument is parsed when the scenario is
+/// built.
 void check_runtime_accepts(const RuntimeEntry& runtime,
                            const ExperimentConfig& config);
 

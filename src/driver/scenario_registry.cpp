@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -10,6 +9,7 @@
 
 #include "simulate/experiment.hpp"
 #include "simulate/latency_model.hpp"
+#include "util/assert.hpp"
 #include "util/cli.hpp"
 #include "util/names.hpp"
 
@@ -247,17 +247,19 @@ ScenarioRegistry::ScenarioRegistry() {
            "as trace:<path> (sim only)",
        .sim_only = true,
        .builder = {},
-       .param_builder = [](std::string_view arg, std::size_t) {
+       .param_builder = [](std::string_view arg, std::size_t num_workers) {
          Scenario s = ec2_baseline();
-         const std::string path(arg);
-         // Fail at selection, not on the first run that reads the file.
-         if (!std::ifstream(path)) {
-           throw std::invalid_argument("latency trace '" + path +
-                                       "' cannot be opened");
-         }
-         s.cluster.latency_model = [path](std::size_t num_workers) {
-           return std::make_unique<simulate::TraceReplayModel>(path,
-                                                              num_workers);
+         // Parse at selection, not on the first run that reads the file:
+         // a missing file, a malformed field or a column-count mismatch
+         // fails before any run starts, and every run copies the parsed
+         // rows instead of re-reading them.
+         auto trace = std::make_shared<const simulate::TraceReplayModel>(
+             std::string(arg), num_workers);
+         s.cluster.latency_model = [trace, num_workers](std::size_t n) {
+           COUPON_ASSERT_MSG(n == num_workers,
+                             "trace scenario built for "
+                                 << num_workers << " workers, run with " << n);
+           return std::make_unique<simulate::TraceReplayModel>(*trace);
          };
          return s;
        }});

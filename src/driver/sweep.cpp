@@ -34,19 +34,25 @@ std::vector<SweepCell> expand_plan(const SweepPlan& plan) {
   const auto seeds = axis_or(plan.seeds, plan.base.seed);
 
   // Fail on any bad name before running a single cell. Building each
-  // distinct scenario spelling once also parses its "name:arg" argument
-  // (a bad lossy:<p>, a missing trace:<path>), which the per-cell runtime
-  // check below does not: it resolves the name only.
+  // distinct (scenario spelling, n) once also parses its "name:arg"
+  // argument (a bad lossy:<p>, a missing or malformed trace:<path>, a
+  // trace whose column count is not n), which the per-cell runtime check
+  // below does not: it resolves the name only.
   const auto& scheme_registry = core::SchemeRegistry::instance();
   for (const auto& scheme : schemes) {
     if (scheme_registry.find(scheme) == nullptr) {
       throw std::invalid_argument(scheme_registry.unknown_message(scheme));
     }
   }
+  const auto first_of_its_value = [](const auto& axis, std::size_t i) {
+    return std::find(axis.begin(), axis.begin() + i, axis[i]) ==
+           axis.begin() + i;
+  };
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    if (std::find(scenarios.begin(), scenarios.begin() + i, scenarios[i]) ==
-        scenarios.begin() + i) {
-      ScenarioRegistry::instance().build(scenarios[i], workers.front());
+    for (std::size_t j = 0; j < workers.size(); ++j) {
+      if (first_of_its_value(scenarios, i) && first_of_its_value(workers, j)) {
+        ScenarioRegistry::instance().build(scenarios[i], workers[j]);
+      }
     }
   }
   const RuntimeEntry* runtime =

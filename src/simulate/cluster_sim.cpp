@@ -99,17 +99,6 @@ std::size_t draw_arrivals_into(std::span<Arrival> out,
   return count;
 }
 
-/// Per-worker metadata spans over the kernel's flat arena.
-struct MetaView {
-  std::span<const std::int64_t> flat;
-  std::span<const std::size_t> offsets;  ///< n + 1 bounds
-
-  std::span<const std::int64_t> of(std::size_t worker) const {
-    return flat.subspan(offsets[worker],
-                        offsets[worker + 1] - offsets[worker]);
-  }
-};
-
 /// The initial sorted-prefix length: the scheme's provable arrival floor
 /// (`min_arrivals_hint`), raised to the expected recovery threshold when
 /// one is known — starting below E[K] would make geometric extension the
@@ -127,89 +116,6 @@ std::size_t start_prefix_for(const core::Scheme& scheme,
     start = std::min(n, static_cast<std::size_t>(std::ceil(*expected)));
   }
   return start;
-}
-
-/// Selection + ingress phases over one iteration's unsorted arrivals.
-///
-/// Selection: materialize the first `start_prefix` arrivals in sorted
-/// order (`std::nth_element` partitions the prefix in O(count), then a
-/// prefix sort orders it); because keys are unique, the result is
-/// bit-identical to the same prefix of a full sort. Whenever the scan
-/// exhausts the sorted prefix without recovery — drops, BCC coverage
-/// failure, a conservative hint — the prefix doubles: [sorted, count)
-/// holds exactly the arrivals ranked >= sorted, so selecting inside it
-/// extends the unique sorted order (DESIGN.md §7.4).
-///
-/// Ingress: the serialized master link is a FIFO — each arrival waits
-/// for the link, occupies it for its service time, and the fully
-/// received message is offered to the collector. Completion order equals
-/// arrival-processing order (the link frees monotonically), so a linear
-/// scan replaces the event heap. The scan stops at recovery — exactly
-/// where the historical DES run_until() stopped. (`sorted_arrival`
-/// applies the same geometric extension lazily for the simulated
-/// provider.)
-IterationReport scan_selected(std::span<Arrival> arrivals,
-                              std::size_t start_prefix,
-                              core::Collector& collector,
-                              std::span<const double> service,
-                              const MetaView& metas) {
-  const std::size_t count = arrivals.size();
-  const auto first = arrivals.begin();
-  std::size_t sorted = std::min(start_prefix, count);
-  if (sorted >= count) {
-    std::sort(first, arrivals.end(), arrival_less);
-    sorted = count;
-  } else {
-    std::nth_element(first, first + sorted, arrivals.end(), arrival_less);
-    std::sort(first, first + sorted, arrival_less);
-  }
-
-  IterationReport report;
-  report.recovered = false;
-  double ingress_free_at = 0.0;
-  double max_compute = 0.0;
-  bool any_received = false;
-  std::size_t cursor = 0;
-  for (;;) {
-    for (; cursor < sorted; ++cursor) {
-      const Arrival& arrival = arrivals[cursor];
-      const double start = std::max(arrival.time, ingress_free_at);
-      ingress_free_at = start + service[arrival.worker];
-      collector.offer(arrival.worker, metas.of(arrival.worker), {});
-      max_compute = std::max(max_compute, arrival.compute);
-      any_received = true;
-      if (collector.ready()) {
-        report.recovered = true;
-        break;
-      }
-    }
-    if (report.recovered || sorted == count) {
-      break;
-    }
-    // Adaptive fallback: extend the sorted prefix geometrically
-    // (sorted >= 1 here — an empty prefix only happens with count == 0,
-    // which took the full-sort branch above).
-    const std::size_t next = std::min(count, sorted * 2);
-    if (next < count) {
-      std::nth_element(first + sorted, first + next, arrivals.end(),
-                       arrival_less);
-      std::sort(first + sorted, first + next, arrival_less);
-    } else {
-      std::sort(first + sorted, arrivals.end(), arrival_less);
-    }
-    sorted = next;
-  }
-
-  // Without recovery the DES drained fully: its clock ended on the last
-  // ingress completion — the final busy-until — or stayed 0 when nothing
-  // was ever scheduled. With recovery, the clock is the busy-until of
-  // the message that flipped ready().
-  report.total_time = any_received ? ingress_free_at : 0.0;
-  report.workers_heard = collector.workers_heard();
-  report.units_received = collector.units_received();
-  report.compute_time = max_compute;
-  report.comm_time = report.total_time - report.compute_time;
-  return report;
 }
 
 /// Folds one iteration into a run aggregate.
@@ -232,9 +138,7 @@ void accumulate(RunReport& run, const IterationReport& it, bool record_trace) {
 IterationKernel::IterationKernel(const core::Scheme& scheme,
                                  const ClusterConfig& config,
                                  KernelOptions options)
-    : scheme_(scheme),
-      config_(config),
-      collector_(scheme.make_collector()) {
+    : config_(config), collector_(scheme.make_collector()) {
   const std::size_t n = scheme.num_workers();
   loads_.resize(n);
   service_seconds_.resize(n);
@@ -272,15 +176,13 @@ std::size_t IterationKernel::begin_lazy_arrivals(LatencyModel& model,
   return count_;
 }
 
-const IterationKernel::Arrival& IterationKernel::sorted_arrival(
-    std::size_t k) {
-  COUPON_ASSERT(k < count_);
-  // Same geometric extension as scan_selected: [lazy_sorted_, count_)
-  // holds exactly the arrivals ranked >= lazy_sorted_, so selecting
-  // inside it extends the unique sorted order (lazy_sorted_ >= 1 here:
-  // start_prefix_for never returns 0 for a non-empty draw).
+void IterationKernel::extend_sorted_to(std::size_t k) {
+  // [lazy_sorted_, count_) holds exactly the arrivals ranked >=
+  // lazy_sorted_, so selecting inside it extends the unique sorted order
+  // (lazy_sorted_ >= 1 here: start_prefix_for never returns 0 for a
+  // non-empty draw).
+  const auto first = arrivals_.begin();
   while (k >= lazy_sorted_) {
-    const auto first = arrivals_.begin();
     const std::size_t next = std::min(count_, lazy_sorted_ * 2);
     if (next < count_) {
       std::nth_element(first + lazy_sorted_, first + next, first + count_,
@@ -291,16 +193,57 @@ const IterationKernel::Arrival& IterationKernel::sorted_arrival(
     }
     lazy_sorted_ = next;
   }
+}
+
+const IterationKernel::Arrival& IterationKernel::sorted_arrival(
+    std::size_t k) {
+  COUPON_ASSERT(k < count_);
+  extend_sorted_to(k);
   return arrivals_[k];
 }
 
 IterationReport IterationKernel::run(LatencyModel& model,
                                      std::size_t iteration, stats::Rng& rng) {
   collector_->reset();
-  count_ =
-      draw_arrivals_into(arrivals_, loads_, config_, model, iteration, rng);
-  return scan_selected({arrivals_.data(), count_}, start_prefix_, *collector_,
-                       service_seconds_, MetaView{meta_flat_, meta_offsets_});
+  const std::size_t count = begin_lazy_arrivals(model, iteration, rng);
+
+  // Ingress: the serialized master link is a FIFO — each arrival waits
+  // for the link, occupies it for its service time, and the fully
+  // received message is offered to the collector. Completion order equals
+  // arrival-processing order (the link frees monotonically), so a linear
+  // scan replaces the event heap. The scan stops at recovery — exactly
+  // where the historical DES run_until() stopped — and extends the sorted
+  // prefix whenever it reaches the prefix's end first (drops, BCC
+  // coverage failure, a conservative hint).
+  core::Collector& collector = *collector_;
+  const Arrival* arrivals = arrivals_.data();
+  const double* service = service_seconds_.data();
+  IterationReport report;
+  report.recovered = false;
+  double ingress_free_at = 0.0;
+  double max_compute = 0.0;
+  for (std::size_t k = 0; k < count && !report.recovered; ++k) {
+    if (k == lazy_sorted_) {
+      extend_sorted_to(k);
+    }
+    const Arrival& arrival = arrivals[k];
+    const double start = std::max(arrival.time, ingress_free_at);
+    ingress_free_at = start + service[arrival.worker];
+    collector.offer(arrival.worker, meta(arrival.worker), {});
+    max_compute = std::max(max_compute, arrival.compute);
+    report.recovered = collector.ready();
+  }
+
+  // Without recovery the DES drained fully: its clock ended on the last
+  // ingress completion — the final busy-until — or stayed 0 when nothing
+  // was ever scheduled. With recovery, the clock is the busy-until of
+  // the message that flipped ready().
+  report.total_time = ingress_free_at;
+  report.workers_heard = collector.workers_heard();
+  report.units_received = collector.units_received();
+  report.compute_time = max_compute;
+  report.comm_time = report.total_time - report.compute_time;
+  return report;
 }
 
 IterationReport simulate_iteration(const core::Scheme& scheme,

@@ -135,20 +135,22 @@ class IterationKernel {
 
   /// Simulates GD iteration `iteration`, drawing compute times from
   /// `model` (calls `model.begin_iteration` first) and all randomness
-  /// from `rng`. Bit-identical to the historical DES event loop.
+  /// from `rng`: `begin_lazy_arrivals` plus the ingress scan over the
+  /// same geometric prefix extension `sorted_arrival` uses.
+  /// Bit-identical to the historical DES event loop.
   IterationReport run(LatencyModel& model, std::size_t iteration,
                       stats::Rng& rng);
 
-  /// The kernel's first two phases for consumers that stop early — the
-  /// simulated provider (engine/simulated_provider.hpp), which couples
-  /// these arrival times with real gradient payloads, runs the ingress
-  /// scan itself and stops at recovery. Draws drops + compute times in
-  /// the historical per-worker RNG order but sorts only the kernel's
-  /// selection prefix up front; `sorted_arrival` then serves the k-th
-  /// earliest arrival, extending the sorted prefix geometrically exactly
-  /// like `run`'s selection phase. Unique (time, worker) keys make every
-  /// served prefix bit-identical to the full sort's. Returns the number
-  /// of arrivals this iteration.
+  /// The kernel's first two phases, also for consumers that run the
+  /// ingress scan themselves — the simulated provider
+  /// (engine/simulated_provider.hpp), which couples these arrival times
+  /// with real gradient payloads and stops at recovery. Draws drops +
+  /// compute times in the historical per-worker RNG order but sorts only
+  /// the kernel's selection prefix up front; `sorted_arrival` then serves
+  /// the k-th earliest arrival, doubling the sorted prefix whenever k
+  /// falls past it. Unique (time, worker) keys make every served prefix
+  /// bit-identical to the full sort's. Returns the number of arrivals
+  /// this iteration.
   std::size_t begin_lazy_arrivals(LatencyModel& model, std::size_t iteration,
                                   stats::Rng& rng);
 
@@ -177,7 +179,9 @@ class IterationKernel {
   std::size_t start_prefix() const { return start_prefix_; }
 
  private:
-  const core::Scheme& scheme_;
+  /// Doubles the sorted prefix until it covers rank `k` (< count_).
+  void extend_sorted_to(std::size_t k);
+
   const ClusterConfig& config_;
   std::unique_ptr<core::Collector> collector_;  ///< reset() per iteration
   std::vector<double> loads_;            ///< |G_i| per worker
@@ -187,7 +191,7 @@ class IterationKernel {
   std::vector<Arrival> arrivals_;  ///< reused scratch arena, size n
   std::size_t count_ = 0;          ///< arrivals drawn this iteration
   std::size_t start_prefix_ = 0;   ///< initial sorted-prefix length
-  std::size_t lazy_sorted_ = 0;    ///< sorted-prefix length (lazy mode)
+  std::size_t lazy_sorted_ = 0;    ///< sorted-prefix length this iteration
 };
 
 /// Simulates one iteration of distributed GD for `scheme` on a cluster

@@ -31,7 +31,9 @@
 #include "analytic/predictor.hpp"
 #include "analytic/scheme_model.hpp"
 #include "core/scheme_registry.hpp"
+#include "core/simple_random.hpp"
 #include "core/theory.hpp"
+#include "core/uncoded.hpp"
 #include "driver/driver.hpp"
 #include "driver/predict.hpp"
 #include "simulate/cluster_sim.hpp"
@@ -570,6 +572,28 @@ TEST(AnalyticSchemeModel, UnequalLoadsAreDeclinedWithTheSizes) {
   EXPECT_NE(bcc_result.reason.find("unequal per-worker loads"),
             std::string::npos)
       << bcc_result.reason;
+}
+
+TEST(AnalyticOracle, PerWorkerLoadsAreDeclinedWithAReason) {
+  // Section IV's generalized BCC and LB placements: unequal r_i make
+  // compute times non-iid even on a homogeneous cluster.
+  coupon::analytic::PredictOptions options;
+  options.quantiles = false;
+  const coupon::simulate::ClusterConfig cluster;
+  const std::vector<std::size_t> loads = {3, 1, 2, 2};
+
+  coupon::stats::Rng rng(11);
+  const coupon::core::SimpleRandomScheme bcc(6, loads, rng);
+  const coupon::core::UncodedScheme lb(loads);
+  for (const coupon::core::Scheme* scheme :
+       {static_cast<const coupon::core::Scheme*>(&bcc),
+        static_cast<const coupon::core::Scheme*>(&lb)}) {
+    std::string reason;
+    EXPECT_FALSE(coupon::analytic::predict(*scheme, cluster, options, &reason)
+                     .has_value());
+    EXPECT_NE(reason.find("unequal per-worker loads"), std::string::npos)
+        << scheme->registry_name() << ": " << reason;
+  }
 }
 
 TEST(AnalyticSchemeModel, RegistryRejectsNullAndDuplicateModels) {

@@ -1,14 +1,23 @@
-// Tests for the heterogeneous extension (Section IV): the Eq. 15 model,
-// T-hat and its Lemma 1 monotonicity, the P2 load allocator, the LB
-// baseline, and the Theorem 2 sandwich on the Fig. 5 configuration.
+// Tests for the heterogeneous extension (Section IV): T-hat and its
+// Lemma 1 monotonicity, the P2 load allocator, the LB baseline, and the
+// Theorem 2 sandwich on the Fig. 5 configuration. Coverage and LB times
+// come from the common timing kernel: generalized BCC is
+// SimpleRandomScheme over per-worker loads, LB is UncodedScheme over
+// mu-proportional loads, and the Eq. 15 profiles are per-worker latency
+// overrides with no ingress or broadcast cost.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <numeric>
+#include <optional>
 
 #include "core/hetero.hpp"
+#include "core/simple_random.hpp"
 #include "core/theory.hpp"
+#include "core/uncoded.hpp"
+#include "simulate/cluster_sim.hpp"
+#include "stats/distributions.hpp"
 #include "stats/rng.hpp"
 #include "stats/summary.hpp"
 #include "util/assert.hpp"
@@ -25,15 +34,38 @@ std::vector<WorkerProfile> fig5_cluster() {
   return workers;
 }
 
-TEST(SampleCompletionTimes, RespectsFloorAndZeroLoad) {
-  stats::Rng rng(1);
-  const std::vector<WorkerProfile> workers = {{2.0, 1.0}, {3.0, 5.0}};
-  const std::vector<std::size_t> loads = {4, 0};
-  for (int trial = 0; trial < 100; ++trial) {
-    const auto times = sample_completion_times(workers, loads, rng);
-    EXPECT_GE(times[0], 8.0);  // a * r = 2 * 4
-    EXPECT_EQ(times[1], kInf);
+/// The kernel cluster for `workers`: Eq. 15 per-worker overrides, no
+/// ingress or broadcast cost.
+simulate::ClusterConfig cluster_of(const std::vector<WorkerProfile>& workers) {
+  simulate::ClusterConfig cluster;
+  cluster.unit_transfer_seconds = 0.0;
+  for (const auto& w : workers) {
+    cluster.worker_overrides.push_back({w.shift, w.straggle});
   }
+  return cluster;
+}
+
+/// One generalized-BCC placement over `loads`, run for one iteration.
+simulate::IterationReport run_once(const simulate::ClusterConfig& cluster,
+                                   std::size_t m,
+                                   std::span<const std::size_t> loads,
+                                   stats::Rng& rng) {
+  const SimpleRandomScheme scheme(m, loads, rng);
+  auto run = simulate::simulate_run(
+      scheme, cluster, {.iterations = 1, .record_trace = true}, rng);
+  return run.iterations.front();
+}
+
+/// Its coverage time, or nothing when the placement cannot cover.
+std::optional<double> coverage_time(const simulate::ClusterConfig& cluster,
+                                    std::size_t m,
+                                    std::span<const std::size_t> loads,
+                                    stats::Rng& rng) {
+  const auto report = run_once(cluster, m, loads, rng);
+  if (!report.recovered) {
+    return std::nullopt;
+  }
+  return report.total_time;
 }
 
 TEST(THat, HandComputedCases) {
@@ -67,7 +99,13 @@ TEST(THat, Lemma1MonotonicityProperty) {
       loads[i] = rng.uniform_int(1, 8);
       total += loads[i];
     }
-    const auto times = sample_completion_times(workers, loads, rng);
+    std::vector<double> times(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      times[i] = stats::ShiftedExponential::for_load(
+                     workers[i].shift, workers[i].straggle,
+                     static_cast<double>(loads[i]))
+                     .sample(rng);
+    }
     double prev = 0.0;
     for (std::size_t s = 1; s <= total; ++s) {
       const double cur = t_hat(times, loads, s);
@@ -176,10 +214,10 @@ TEST(SimulateGeneralizedBcc, FullReplicationCoversWithOneWorker) {
   stats::Rng rng(5);
   const std::vector<WorkerProfile> workers = {{1.0, 1.0}, {1.0, 1.0}};
   const std::vector<std::size_t> loads = {10, 10};
-  const auto real = simulate_generalized_bcc(workers, loads, 10, rng);
-  EXPECT_TRUE(real.covered);
-  EXPECT_EQ(real.workers_heard, 1u);
-  EXPECT_GE(real.time, 10.0);  // a * r floor
+  const auto report = run_once(cluster_of(workers), 10, loads, rng);
+  EXPECT_TRUE(report.recovered);
+  EXPECT_EQ(report.workers_heard, 1u);
+  EXPECT_GE(report.total_time, 10.0);  // a * r floor
 }
 
 TEST(SimulateLoadBalanced, TimeIsMaxOverLoadedWorkers) {
@@ -187,9 +225,14 @@ TEST(SimulateLoadBalanced, TimeIsMaxOverLoadedWorkers) {
   const std::vector<WorkerProfile> workers = {{1.0, 1.0}, {5.0, 1.0},
                                               {1.0, 1.0}};
   const std::vector<std::size_t> loads = {1, 4, 0};
-  for (int trial = 0; trial < 50; ++trial) {
-    const double t = simulate_load_balanced(workers, loads, rng);
-    EXPECT_GE(t, 20.0);  // worker 1's floor a*r = 5*4 dominates
+  const UncodedScheme lb(loads);
+  const auto run = simulate::simulate_run(
+      lb, cluster_of(workers), {.iterations = 50, .record_trace = true}, rng);
+  EXPECT_EQ(run.failures, 0u);
+  for (const auto& it : run.iterations) {
+    EXPECT_EQ(it.workers_heard, 3u);  // wait-for-all, the idle one too
+    EXPECT_GE(it.total_time, 20.0);   // worker 1's floor a*r = 5*4 dominates
+    EXPECT_EQ(it.total_time, it.compute_time);  // no ingress cost
   }
 }
 
@@ -263,21 +306,25 @@ TEST(Fig5, GeneralizedBccBeatsLoadBalancing) {
   // semantics of drawing a placement once and redrawing if it cannot
   // possibly cover.
   stats::Rng rng(7);
-  stats::OnlineStats bcc_time, lb_time;
+  const auto cluster = cluster_of(workers);
+  stats::OnlineStats bcc_time;
   std::size_t failures = 0;
   const int trials = 400;
   for (int t = 0; t < trials; ++t) {
-    const auto outcome = simulate_generalized_bcc(workers, alloc.loads, m, rng);
-    if (!outcome.covered) {
+    const auto time = coverage_time(cluster, m, alloc.loads, rng);
+    if (!time) {
       ++failures;
       continue;
     }
-    bcc_time.add(outcome.time);
-    lb_time.add(simulate_load_balanced(workers, lb_loads, rng));
+    bcc_time.add(*time);
   }
+  const UncodedScheme lb(lb_loads);
+  const auto lb_run = simulate::simulate_run(
+      lb, cluster, {.iterations = static_cast<std::size_t>(trials)}, rng);
+  const double lb_mean = lb_run.total_time / trials;
   EXPECT_LT(failures, trials * 6 / 10);
   ASSERT_GT(bcc_time.count(), 100u);
-  const double reduction = 1.0 - bcc_time.mean() / lb_time.mean();
+  const double reduction = 1.0 - bcc_time.mean() / lb_mean;
   EXPECT_GT(reduction, 0.10);
   EXPECT_LT(reduction, 0.50);
 }
@@ -303,12 +350,11 @@ TEST(Theorem2, SandwichHoldsStatistically) {
   const double upper =
       mc_expected_t_hat(workers, upper_alloc.loads, s_upper, 2000, rng) + 1.0;
 
+  const auto cluster = cluster_of(workers);
   stats::OnlineStats coverage;
   for (int t = 0; t < 1000; ++t) {
-    const auto outcome =
-        simulate_generalized_bcc(workers, upper_alloc.loads, m, rng);
-    if (outcome.covered) {
-      coverage.add(outcome.time);
+    if (const auto time = coverage_time(cluster, m, upper_alloc.loads, rng)) {
+      coverage.add(*time);
     }
   }
   ASSERT_GT(coverage.count(), 900u);

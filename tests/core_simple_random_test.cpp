@@ -1,12 +1,15 @@
 // Deep tests for the simple randomized baseline: per-example placement,
 // per-unit deduplication at the master, and the communication-load
-// blow-up (Eq. 6) that motivates BCC.
+// blow-up (Eq. 6) that motivates BCC. Also the per-worker-load
+// constructors of simple_random and uncoded, which place Section IV's
+// generalized BCC and its load-balancing baseline.
 
 #include <gtest/gtest.h>
 
 #include <set>
 
 #include "core/simple_random.hpp"
+#include "core/uncoded.hpp"
 #include "data/synthetic.hpp"
 #include "linalg/vector_ops.hpp"
 #include "opt/logistic.hpp"
@@ -134,6 +137,74 @@ TEST(SimpleRandom, FullLoadMakesEveryWorkerSufficient) {
   collector->offer(0, scheme.message_meta(0), {});
   EXPECT_TRUE(collector->ready());
   EXPECT_EQ(collector->workers_heard(), 1u);
+}
+
+TEST(SimpleRandom, PerWorkerLoadsSetPlacementSizes) {
+  stats::Rng rng(9);
+  const std::vector<std::size_t> loads = {3, 0, 7, 1};
+  const SimpleRandomScheme scheme(10, loads, rng);
+  ASSERT_EQ(scheme.num_workers(), 4u);
+  EXPECT_EQ(scheme.num_units(), 10u);
+  for (std::size_t i = 0; i < loads.size(); ++i) {
+    const auto& g = scheme.placement().worker(i);
+    EXPECT_EQ(g.size(), loads[i]);
+    EXPECT_EQ(std::set<std::size_t>(g.begin(), g.end()).size(), loads[i]);
+    EXPECT_EQ(scheme.message_units(i), static_cast<double>(loads[i]));
+  }
+  // Covering 10 units with at most 7 per message takes >= 2 arrivals.
+  EXPECT_EQ(scheme.min_arrivals_hint(), 2u);
+  EXPECT_THROW(SimpleRandomScheme(10, std::vector<std::size_t>{0, 0}, rng),
+               AssertionError);
+  EXPECT_THROW(SimpleRandomScheme(10, std::vector<std::size_t>{2, 11}, rng),
+               AssertionError);
+}
+
+TEST(SimpleRandom, UniformLoadsDrawOneSampleWithoutReplacementPerWorker) {
+  // The (n, m, r) constructor delegates to the per-worker one and draws
+  // exactly as before: one sample_without_replacement(m, r) per worker,
+  // in worker order — the RNG stream behind every golden and bench.
+  stats::Rng uniform_rng(10);
+  const SimpleRandomScheme uniform(6, 9, 4, uniform_rng);
+  stats::Rng per_worker_rng(10);
+  const SimpleRandomScheme per_worker(
+      9, std::vector<std::size_t>(6, 4), per_worker_rng);
+  stats::Rng reference_rng(10);
+  for (std::size_t i = 0; i < 6; ++i) {
+    const auto expected = reference_rng.sample_without_replacement(9, 4);
+    EXPECT_EQ(uniform.placement().worker(i), expected) << i;
+    EXPECT_EQ(per_worker.placement().worker(i), expected) << i;
+  }
+  EXPECT_EQ(uniform_rng.next_u64(), reference_rng.next_u64());
+}
+
+TEST(Uncoded, PerWorkerLoadsGetContiguousBlocks) {
+  const std::vector<std::size_t> loads = {2, 0, 3, 1};
+  const UncodedScheme scheme(loads);
+  EXPECT_EQ(scheme.num_units(), 6u);  // m = sum of the loads
+  EXPECT_EQ(scheme.placement().worker(0), (std::vector<std::size_t>{0, 1}));
+  EXPECT_TRUE(scheme.placement().worker(1).empty());
+  EXPECT_EQ(scheme.placement().worker(2),
+            (std::vector<std::size_t>{2, 3, 4}));
+  EXPECT_EQ(scheme.placement().worker(3), (std::vector<std::size_t>{5}));
+  // Wait-for-all still means every worker, the idle one included.
+  auto collector = scheme.make_collector();
+  for (std::size_t i = 0; i < 3; ++i) {
+    collector->offer(i, scheme.message_meta(i), {});
+    EXPECT_FALSE(collector->ready());
+  }
+  collector->offer(3, scheme.message_meta(3), {});
+  EXPECT_TRUE(collector->ready());
+  EXPECT_THROW(UncodedScheme(std::vector<std::size_t>{0, 0}), AssertionError);
+}
+
+TEST(Uncoded, EvenSplitDelegatesToContiguousBlocks) {
+  // m = 7 over n = 3: the larger blocks first, as before.
+  const UncodedScheme even(3, 7);
+  const UncodedScheme blocks(std::vector<std::size_t>{3, 2, 2});
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(even.placement().worker(i), blocks.placement().worker(i));
+  }
+  EXPECT_THROW(UncodedScheme(4, 3), AssertionError);  // m < n
 }
 
 }  // namespace

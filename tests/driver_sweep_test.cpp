@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -143,6 +145,34 @@ TEST(SweepPlan, BadScenarioArgumentsRejectedBeforeAnyCellRuns) {
     EXPECT_THROW(driver::run_sweep(plan, options), std::invalid_argument);
     EXPECT_EQ(os.str(), "") << bad;  // not even a header: no cell ran
   }
+
+  // A trace that opens but does not parse, and one whose column count
+  // fits the first n of the workers axis but not the second: both are
+  // parsed at planning, not by the first cell that replays them.
+  const std::string malformed = "driver_sweep_malformed_trace.csv";
+  const std::string three_columns = "driver_sweep_three_column_trace.csv";
+  std::ofstream(malformed) << "0.001,abc,0.003\n";
+  std::ofstream(three_columns) << "0.001,0.002,0.003\n";
+  for (const auto& [trace, workers] :
+       {std::pair{malformed, std::vector<std::size_t>{3}},
+        std::pair{three_columns, std::vector<std::size_t>{3, 4}}}) {
+    driver::SweepPlan plan;
+    plan.schemes = {"bcc", "uncoded"};
+    plan.scenarios = {"shifted_exp", "trace:" + trace};
+    plan.workers = workers;
+    plan.loads = {1};
+    plan.iterations = {2};
+    EXPECT_THROW(driver::expand_plan(plan), std::invalid_argument) << trace;
+    std::ostringstream os;
+    driver::CsvSummarySink sink(os);
+    driver::SweepOptions options;
+    options.threads = 1;
+    options.sink = &sink;
+    EXPECT_THROW(driver::run_sweep(plan, options), std::invalid_argument);
+    EXPECT_EQ(os.str(), "") << trace;
+  }
+  std::remove(malformed.c_str());
+  std::remove(three_columns.c_str());
 
   // A live-only scenario with a bad argument, on a live runtime.
   driver::SweepPlan plan;

@@ -423,18 +423,21 @@ TEST(Driver, ConfigFromFlagsRejectsNegativeCountsAndBadScenarioArguments) {
     EXPECT_TRUE(flags.parse(2, argv)) << arg;
     return driver::config_from_flags(flags);
   };
-  // A negative count would otherwise wrap to 2^64 - 1.
+  // A negative count would otherwise wrap to 2^64 - 1, and a negative
+  // worker timeout would read as "wait forever".
   for (const char* bad :
        {"--workers=-1", "--units=-1", "--load=-1", "--iterations=-1",
         "--features=-1", "--examples_per_unit=-1", "--crash_iteration=-1",
         "--scenario=lossy:abc", "--scenario=lossy:1.5",
-        "--scenario=fast_network:0", "--scenario=trace:no_such_file.csv"}) {
+        "--scenario=fast_network:0", "--scenario=trace:no_such_file.csv",
+        "--worker_timeout_ms=-1"}) {
     EXPECT_FALSE(from(bad).has_value()) << bad;
   }
   const auto lossy = from("--scenario=lossy:0.2");
   ASSERT_TRUE(lossy.has_value());
   EXPECT_EQ(lossy->scenario, "lossy:0.2");
   EXPECT_TRUE(from("--iterations=0").has_value());
+  EXPECT_TRUE(from("--worker_timeout_ms=0").has_value());
 }
 
 TEST(Driver, SimOnlyScenarioRejectedUnderThreadedRuntime) {
