@@ -1,12 +1,13 @@
-// Microbenchmarks for the linalg substrate (google-benchmark): the
-// kernels that dominate worker compute (dot/axpy/gemv for logistic
-// gradients) and master decode (QR least squares for CR).
+// Microbenchmarks for the linalg kernels production runs: dot/axpy (the
+// workers' logistic-regression partial gradients) and the cyclic-
+// repetition baseline's two dense solves (the s x s solve per coding-
+// matrix row, and the least-squares decode per iteration).
 
 #include <benchmark/benchmark.h>
 
-#include "linalg/linalg.hpp"
+#include "linalg/solve.hpp"
+#include "linalg/vector_ops.hpp"
 #include "stats/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -49,50 +50,13 @@ void BM_Axpy(benchmark::State& state) {
   for (auto _ : state) {
     coupon::linalg::axpy(0.5, x, y);
     benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_Axpy)->Arg(1000)->Arg(8000)->Arg(64000);
 
-void BM_Gemv(benchmark::State& state) {
-  const auto rows = static_cast<std::size_t>(state.range(0));
-  const auto cols = static_cast<std::size_t>(state.range(1));
-  const auto a = random_matrix(rows, cols, 5);
-  const auto x = random_vector(cols, 6);
-  std::vector<double> y(rows, 0.0);
-  for (auto _ : state) {
-    coupon::linalg::gemv(1.0, a, x, 0.0, y);
-    benchmark::DoNotOptimize(y.data());
-  }
-}
-BENCHMARK(BM_Gemv)->Args({100, 8000})->Args({1000, 1000});
-
-void BM_GemvParallel(benchmark::State& state) {
-  const auto rows = static_cast<std::size_t>(state.range(0));
-  const auto cols = static_cast<std::size_t>(state.range(1));
-  const auto a = random_matrix(rows, cols, 7);
-  const auto x = random_vector(cols, 8);
-  std::vector<double> y(rows, 0.0);
-  auto& pool = coupon::ThreadPool::shared();
-  for (auto _ : state) {
-    coupon::linalg::gemv_parallel(pool, 1.0, a, x, 0.0, y);
-    benchmark::DoNotOptimize(y.data());
-  }
-}
-BENCHMARK(BM_GemvParallel)->Args({100, 8000})->Args({1000, 1000});
-
-void BM_Gemm(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto a = random_matrix(n, n, 9);
-  const auto b = random_matrix(n, n, 10);
-  Matrix c(n, n, 0.0);
-  for (auto _ : state) {
-    coupon::linalg::gemm(1.0, a, b, 0.0, c);
-    benchmark::DoNotOptimize(c.data().data());
-  }
-}
-BENCHMARK(BM_Gemm)->Arg(64)->Arg(128)->Arg(256);
-
-void BM_LuSolve(benchmark::State& state) {
+void BM_Solve(benchmark::State& state) {
+  // The CR construction shape: s x s with s = r - 1 (r = 10 in Table I).
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto a = random_matrix(n, n, 11);
   const auto b = random_vector(n, 12);
@@ -100,19 +64,24 @@ void BM_LuSolve(benchmark::State& state) {
     benchmark::DoNotOptimize(coupon::linalg::solve(a, b));
   }
 }
-BENCHMARK(BM_LuSolve)->Arg(25)->Arg(50)->Arg(100);
+BENCHMARK(BM_Solve)->Arg(9);
 
-void BM_QrLeastSquares(benchmark::State& state) {
-  // The CR decode shape: n rows (units), n - s columns (survivors).
+void BM_LstsqInto(benchmark::State& state) {
+  // The CR decode shape: n rows (units), n - s columns (survivors), with
+  // a warm workspace as the decoder keeps one. Table I: n = 50, s = 9.
   const auto n = static_cast<std::size_t>(state.range(0));
-  const auto cols = n - n / 10;
+  const auto cols = n - 9;
   const auto a = random_matrix(n, cols, 13);
   const std::vector<double> b(n, 1.0);
+  std::vector<double> x(cols);
+  coupon::linalg::LstsqWorkspace ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(coupon::linalg::lstsq(a, b));
+    benchmark::DoNotOptimize(coupon::linalg::lstsq_into(a, b, x, ws));
+    benchmark::DoNotOptimize(x.data());
+    benchmark::ClobberMemory();
   }
 }
-BENCHMARK(BM_QrLeastSquares)->Arg(50)->Arg(100)->Arg(200);
+BENCHMARK(BM_LstsqInto)->Arg(50);
 
 }  // namespace
 

@@ -138,15 +138,6 @@ std::unique_ptr<Collector> CyclicRepetitionScheme::make_collector() const {
                                        num_workers() - stragglers_tolerated());
 }
 
-std::optional<std::vector<double>> CyclicRepetitionScheme::decoding_coefficients(
-    std::span<const std::size_t> workers) const {
-  CrDecodeWorkspace ws;
-  if (!decoding_coefficients_into(workers, ws)) {
-    return std::nullopt;
-  }
-  return std::move(ws.coeffs);
-}
-
 bool CyclicRepetitionScheme::decoding_coefficients_into(
     std::span<const std::size_t> workers, CrDecodeWorkspace& ws) const {
   const std::size_t n = num_workers();

@@ -76,14 +76,9 @@ class CyclicRepetitionScheme final : public Scheme {
   const linalg::Matrix& coding_matrix() const { return b_; }
 
   /// Solves a^T B_W = 1^T for the given worker subset (any set of at
-  /// least n - s distinct workers). Returns nullopt when the subset is
-  /// too small or the solve is numerically rank-deficient.
-  std::optional<std::vector<double>> decoding_coefficients(
-      std::span<const std::size_t> workers) const;
-
-  /// Workspace-reusing variant: writes the |W| coefficients into
-  /// `ws.coeffs` (bits identical to `decoding_coefficients`). Returns
-  /// false when the subset is too small or the solve is rank deficient.
+  /// least n - s distinct workers), writing the |W| coefficients into
+  /// `ws.coeffs`. Returns false when the subset is too small or the
+  /// solve is numerically rank deficient.
   bool decoding_coefficients_into(std::span<const std::size_t> workers,
                                   CrDecodeWorkspace& ws) const;
 

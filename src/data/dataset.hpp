@@ -16,17 +16,6 @@ struct Dataset {
 
   std::size_t num_examples() const { return x.rows(); }
   std::size_t num_features() const { return x.cols(); }
-
-  /// Sub-dataset formed by the given example indices (copies rows).
-  Dataset select(std::span<const std::size_t> indices) const {
-    Dataset d;
-    d.x = x.select_rows(indices);
-    d.y.reserve(indices.size());
-    for (std::size_t j : indices) {
-      d.y.push_back(y[j]);
-    }
-    return d;
-  }
 };
 
 }  // namespace coupon::data

@@ -20,25 +20,4 @@ Matrix Matrix::identity(std::size_t n) {
   return m;
 }
 
-Matrix Matrix::transposed() const {
-  Matrix t(cols_, rows_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t c = 0; c < cols_; ++c) {
-      t(c, r) = (*this)(r, c);
-    }
-  }
-  return t;
-}
-
-Matrix Matrix::select_rows(std::span<const std::size_t> row_indices) const {
-  Matrix out(row_indices.size(), cols_);
-  for (std::size_t i = 0; i < row_indices.size(); ++i) {
-    COUPON_ASSERT(row_indices[i] < rows_);
-    auto src = row(row_indices[i]);
-    auto dst = out.row(i);
-    std::copy(src.begin(), src.end(), dst.begin());
-  }
-  return out;
-}
-
 }  // namespace coupon::linalg

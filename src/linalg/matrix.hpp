@@ -5,7 +5,7 @@
 ///
 /// Row-major layout matches the access pattern of the gradient kernels:
 /// each training example is one contiguous row, so per-example gradients
-/// and batch GEMVs stream rows sequentially.
+/// stream rows sequentially.
 
 #include <cstddef>
 #include <initializer_list>
@@ -68,12 +68,6 @@ class Matrix {
   /// Whole-storage views (row-major).
   std::span<double> data() { return {data_.data(), data_.size()}; }
   std::span<const double> data() const { return {data_.data(), data_.size()}; }
-
-  /// Returns the transpose (new storage).
-  Matrix transposed() const;
-
-  /// Extracts the sub-matrix formed by the given rows, in order.
-  Matrix select_rows(std::span<const std::size_t> row_indices) const;
 
   bool operator==(const Matrix& other) const = default;
 

@@ -2,105 +2,20 @@
 
 #include <cmath>
 
-#include "linalg/gemv.hpp"
-#include "linalg/vector_ops.hpp"
 #include "util/assert.hpp"
 
 namespace coupon::linalg {
 
 namespace {
+
 constexpr double kPivotTol = 1e-12;
-}
 
-LuFactors lu_factor(Matrix a) {
-  COUPON_ASSERT(a.rows() == a.cols());
-  const std::size_t n = a.rows();
-  LuFactors f{std::move(a), std::vector<std::size_t>(n), false};
-  Matrix& m = f.lu;
-  for (std::size_t k = 0; k < n; ++k) {
-    // Partial pivot: largest |entry| in column k at or below the diagonal.
-    std::size_t p = k;
-    double best = std::abs(m(k, k));
-    for (std::size_t i = k + 1; i < n; ++i) {
-      const double v = std::abs(m(i, k));
-      if (v > best) {
-        best = v;
-        p = i;
-      }
-    }
-    f.piv[k] = p;
-    if (best < kPivotTol) {
-      f.singular = true;
-      continue;
-    }
-    if (p != k) {
-      for (std::size_t c = 0; c < n; ++c) {
-        std::swap(m(k, c), m(p, c));
-      }
-    }
-    const double pivot = m(k, k);
-    for (std::size_t i = k + 1; i < n; ++i) {
-      const double l = m(i, k) / pivot;
-      m(i, k) = l;
-      if (l == 0.0) {
-        continue;
-      }
-      for (std::size_t c = k + 1; c < n; ++c) {
-        m(i, c) -= l * m(k, c);
-      }
-    }
-  }
-  return f;
-}
-
-std::optional<std::vector<double>> lu_solve(const LuFactors& factors,
-                                            std::span<const double> b) {
-  if (factors.singular) {
-    return std::nullopt;
-  }
-  const Matrix& m = factors.lu;
-  const std::size_t n = m.rows();
-  COUPON_ASSERT(b.size() == n);
-  std::vector<double> x(b.begin(), b.end());
-  // Apply the recorded row swaps, then forward/back substitution.
-  for (std::size_t k = 0; k < n; ++k) {
-    if (factors.piv[k] != k) {
-      std::swap(x[k], x[factors.piv[k]]);
-    }
-  }
-  for (std::size_t i = 1; i < n; ++i) {
-    double s = x[i];
-    for (std::size_t j = 0; j < i; ++j) {
-      s -= m(i, j) * x[j];
-    }
-    x[i] = s;
-  }
-  for (std::size_t ii = n; ii > 0; --ii) {
-    const std::size_t i = ii - 1;
-    double s = x[i];
-    for (std::size_t j = i + 1; j < n; ++j) {
-      s -= m(i, j) * x[j];
-    }
-    x[i] = s / m(i, i);
-  }
-  return x;
-}
-
-std::optional<std::vector<double>> solve(const Matrix& a,
-                                         std::span<const double> b) {
-  return lu_solve(lu_factor(a), b);
-}
-
-namespace {
-
-/// Shared core of `qr_factor` and `lstsq_into`: factors `qr` in place
-/// using `v` as reflector scratch. Returns true when rank deficient. The
-/// loop bodies are the arithmetic `qr_factor` has always used, so both
-/// entry points produce bit-identical factors.
-bool qr_factor_inplace(Matrix& qr, std::vector<double>& tau,
-                       std::vector<double>& v) {
+/// Householder QR of `qr` in place (rows >= cols), using `v` as
+/// reflector scratch. Returns true when rank deficient.
+bool householder_factor(Matrix& qr, std::vector<double>& tau,
+                        std::vector<double>& v) {
   COUPON_ASSERT_MSG(qr.rows() >= qr.cols(),
-                    "qr_factor requires rows >= cols, got "
+                    "lstsq_into requires rows >= cols, got "
                         << qr.rows() << "x" << qr.cols());
   const std::size_t m = qr.rows();
   const std::size_t n = qr.cols();
@@ -164,12 +79,12 @@ bool qr_factor_inplace(Matrix& qr, std::vector<double>& tau,
   return rank_deficient;
 }
 
-/// Shared core of `qr_solve` and `lstsq_into`: applies the reflectors to
-/// `b` (via scratch `y`) and back-substitutes into `x`. Returns false on a
-/// numerically-singular R diagonal.
-bool qr_solve_inplace(const Matrix& qr, std::span<const double> tau,
-                      std::span<const double> b, std::vector<double>& y,
-                      std::span<double> x) {
+/// Applies the reflectors of a factored `qr` to `b` (via scratch `y`) and
+/// back-substitutes into `x`. Returns false on a numerically-singular R
+/// diagonal.
+bool householder_solve(const Matrix& qr, std::span<const double> tau,
+                       std::span<const double> b, std::vector<double>& y,
+                       std::span<double> x) {
   const std::size_t m = qr.rows();
   const std::size_t n = qr.cols();
   COUPON_ASSERT(b.size() == m);
@@ -210,99 +125,79 @@ bool qr_solve_inplace(const Matrix& qr, std::span<const double> tau,
 
 }  // namespace
 
-QrFactors qr_factor(Matrix a) {
-  QrFactors f{std::move(a), {}, false};
-  std::vector<double> v;
-  f.rank_deficient = qr_factor_inplace(f.qr, f.tau, v);
-  return f;
-}
-
-std::optional<std::vector<double>> qr_solve(const QrFactors& factors,
-                                            std::span<const double> b) {
-  if (factors.rank_deficient) {
-    return std::nullopt;
+std::optional<std::vector<double>> solve(const Matrix& a,
+                                         std::span<const double> b) {
+  COUPON_ASSERT(a.rows() == a.cols());
+  const std::size_t n = a.rows();
+  COUPON_ASSERT(b.size() == n);
+  // P*A = L*U packed in place: L (unit lower) below the diagonal, U on
+  // and above it. piv[k] is the row swapped into position k at step k.
+  Matrix m = a;
+  std::vector<std::size_t> piv(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    // Partial pivot: largest |entry| in column k at or below the diagonal.
+    std::size_t p = k;
+    double best = std::abs(m(k, k));
+    for (std::size_t i = k + 1; i < n; ++i) {
+      const double v = std::abs(m(i, k));
+      if (v > best) {
+        best = v;
+        p = i;
+      }
+    }
+    if (best < kPivotTol) {
+      return std::nullopt;
+    }
+    piv[k] = p;
+    if (p != k) {
+      for (std::size_t c = 0; c < n; ++c) {
+        std::swap(m(k, c), m(p, c));
+      }
+    }
+    const double pivot = m(k, k);
+    for (std::size_t i = k + 1; i < n; ++i) {
+      const double l = m(i, k) / pivot;
+      m(i, k) = l;
+      if (l == 0.0) {
+        continue;
+      }
+      for (std::size_t c = k + 1; c < n; ++c) {
+        m(i, c) -= l * m(k, c);
+      }
+    }
   }
-  std::vector<double> y;
-  std::vector<double> x(factors.qr.cols());
-  if (!qr_solve_inplace(factors.qr, factors.tau, b, y, x)) {
-    return std::nullopt;
+  std::vector<double> x(b.begin(), b.end());
+  // Apply the recorded row swaps, then forward/back substitution.
+  for (std::size_t k = 0; k < n; ++k) {
+    if (piv[k] != k) {
+      std::swap(x[k], x[piv[k]]);
+    }
+  }
+  for (std::size_t i = 1; i < n; ++i) {
+    double s = x[i];
+    for (std::size_t j = 0; j < i; ++j) {
+      s -= m(i, j) * x[j];
+    }
+    x[i] = s;
+  }
+  for (std::size_t ii = n; ii > 0; --ii) {
+    const std::size_t i = ii - 1;
+    double s = x[i];
+    for (std::size_t j = i + 1; j < n; ++j) {
+      s -= m(i, j) * x[j];
+    }
+    x[i] = s / m(i, i);
   }
   return x;
-}
-
-std::optional<std::vector<double>> lstsq(const Matrix& a,
-                                         std::span<const double> b) {
-  return qr_solve(qr_factor(a), b);
 }
 
 bool lstsq_into(const Matrix& a, std::span<const double> b,
                 std::span<double> x, LstsqWorkspace& ws) {
   ws.qr = a;  // vector copy-assignment reuses ws.qr's storage
-  if (qr_factor_inplace(ws.qr, ws.tau, ws.v)) {
+  if (householder_factor(ws.qr, ws.tau, ws.v)) {
     return false;
   }
-  return qr_solve_inplace(ws.qr, ws.tau, b, ws.y, x);
-}
-
-std::optional<Matrix> cholesky(const Matrix& a) {
-  COUPON_ASSERT(a.rows() == a.cols());
-  const std::size_t n = a.rows();
-  Matrix l(n, n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j <= i; ++j) {
-      double s = a(i, j);
-      for (std::size_t k = 0; k < j; ++k) {
-        s -= l(i, k) * l(j, k);
-      }
-      if (i == j) {
-        if (s <= 0.0) {
-          return std::nullopt;  // not positive definite
-        }
-        l(i, i) = std::sqrt(s);
-      } else {
-        l(i, j) = s / l(j, j);
-      }
-    }
-  }
-  return l;
-}
-
-std::optional<std::vector<double>> cholesky_solve(const Matrix& a,
-                                                  std::span<const double> b) {
-  auto lopt = cholesky(a);
-  if (!lopt) {
-    return std::nullopt;
-  }
-  const Matrix& l = *lopt;
-  const std::size_t n = l.rows();
-  COUPON_ASSERT(b.size() == n);
-  std::vector<double> y(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double s = b[i];
-    for (std::size_t j = 0; j < i; ++j) {
-      s -= l(i, j) * y[j];
-    }
-    y[i] = s / l(i, i);
-  }
-  std::vector<double> x(n);
-  for (std::size_t ii = n; ii > 0; --ii) {
-    const std::size_t i = ii - 1;
-    double s = y[i];
-    for (std::size_t j = i + 1; j < n; ++j) {
-      s -= l(j, i) * x[j];
-    }
-    x[i] = s / l(i, i);
-  }
-  return x;
-}
-
-double residual_norm(const Matrix& a, std::span<const double> x,
-                     std::span<const double> b) {
-  COUPON_ASSERT(x.size() == a.cols() && b.size() == a.rows());
-  std::vector<double> r(b.begin(), b.end());
-  gemv(1.0, a, x, -1.0, std::span<double>(r));
-  // r now holds A x - b (gemv computed 1*A*x + (-1)*b elementwise into r).
-  return nrm2(r);
+  return householder_solve(ws.qr, ws.tau, b, ws.y, x);
 }
 
 }  // namespace coupon::linalg

@@ -1,12 +1,13 @@
 #pragma once
 
 /// \file solve.hpp
-/// Dense direct solvers: partial-pivot LU, Householder QR least squares,
-/// and Cholesky.
+/// The two dense solves of the cyclic-repetition (CR) baseline
+/// (core/cyclic_repetition): a square solve per coding-matrix row when
+/// the scheme is built, and a least-squares decode per iteration.
 ///
-/// The cyclic-repetition gradient-coding decoder (core/cyclic_repetition)
-/// recovers the all-ones combination by solving the overdetermined system
-/// `B_W^T a = 1` in the least-squares sense; `lstsq` below is that path.
+/// The CR decoder recovers the all-ones combination by solving the
+/// overdetermined system `B_W^T a = 1` in the least-squares sense;
+/// `lstsq_into` below is that path.
 
 #include <optional>
 #include <span>
@@ -16,44 +17,9 @@
 
 namespace coupon::linalg {
 
-/// LU factorization with partial pivoting: P*A = L*U packed in-place.
-/// `piv[k]` records the row swapped into position k at step k.
-struct LuFactors {
-  Matrix lu;                   ///< L (unit lower, below diag) and U packed
-  std::vector<std::size_t> piv;
-  bool singular = false;       ///< true if a zero pivot was hit
-};
-
-/// Factors a square matrix. Never throws on singularity; check `.singular`.
-LuFactors lu_factor(Matrix a);
-
-/// Solves A x = b given factors. Returns nullopt if factors are singular.
-std::optional<std::vector<double>> lu_solve(const LuFactors& factors,
-                                            std::span<const double> b);
-
-/// Convenience: solve A x = b for square A. Returns nullopt if singular.
+/// Solves A x = b for square A by partial-pivot LU. Returns nullopt if A
+/// is numerically singular.
 std::optional<std::vector<double>> solve(const Matrix& a,
-                                         std::span<const double> b);
-
-/// Householder QR of an m x n matrix with m >= n: A = Q * R.
-/// Householder vectors are stored below the diagonal of `qr`, the scalar
-/// factors in `tau`, and R on/above the diagonal.
-struct QrFactors {
-  Matrix qr;
-  std::vector<double> tau;
-  bool rank_deficient = false;  ///< true if an |R_kk| underflowed tolerance
-};
-
-/// Factors A (rows >= cols required).
-QrFactors qr_factor(Matrix a);
-
-/// Least-squares solve min_x ||A x - b||_2 via the QR factors.
-/// Returns nullopt when R is numerically rank deficient.
-std::optional<std::vector<double>> qr_solve(const QrFactors& factors,
-                                            std::span<const double> b);
-
-/// Convenience: least-squares solution of A x = b (rows >= cols).
-std::optional<std::vector<double>> lstsq(const Matrix& a,
                                          std::span<const double> b);
 
 /// Scratch for `lstsq_into`: factor storage and solve temporaries reused
@@ -65,23 +31,11 @@ struct LstsqWorkspace {
   std::vector<double> y;  ///< Q^T b scratch
 };
 
-/// Workspace-reusing least squares: solves min_x ||A x - b||_2 into `x`
-/// (size A.cols()), producing bits identical to `lstsq` (same
-/// factorization and substitution arithmetic, in the same order). Returns
-/// false when A is numerically rank deficient.
+/// Least squares by Householder QR: solves min_x ||A x - b||_2 into `x`
+/// (size A.cols()) for A with rows >= cols. The result depends only on
+/// (A, b), never on what `ws` held before. Returns false when A is
+/// numerically rank deficient.
 bool lstsq_into(const Matrix& a, std::span<const double> b,
                 std::span<double> x, LstsqWorkspace& ws);
-
-/// Cholesky factorization A = L L^T of a symmetric positive-definite
-/// matrix (lower triangle returned). Returns nullopt if not SPD.
-std::optional<Matrix> cholesky(const Matrix& a);
-
-/// Solves A x = b for SPD A via Cholesky. Returns nullopt if not SPD.
-std::optional<std::vector<double>> cholesky_solve(const Matrix& a,
-                                                  std::span<const double> b);
-
-/// ||A x - b||_2 — residual helper shared by tests and the CR decoder.
-double residual_norm(const Matrix& a, std::span<const double> x,
-                     std::span<const double> b);
 
 }  // namespace coupon::linalg

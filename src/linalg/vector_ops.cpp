@@ -7,49 +7,6 @@
 
 namespace coupon::linalg {
 
-double nrm2(std::span<const double> x) {
-  // Scaled accumulation to avoid overflow/underflow for extreme inputs.
-  double scale = 0.0;
-  double ssq = 1.0;
-  for (double v : x) {
-    if (v == 0.0) {
-      continue;
-    }
-    const double a = std::abs(v);
-    if (scale < a) {
-      ssq = 1.0 + ssq * (scale / a) * (scale / a);
-      scale = a;
-    } else {
-      ssq += (a / scale) * (a / scale);
-    }
-  }
-  return scale * std::sqrt(ssq);
-}
-
-double asum_signed(std::span<const double> x) {
-  double s = 0.0;
-  for (double v : x) {
-    s += v;
-  }
-  return s;
-}
-
-void add(std::span<const double> a, std::span<const double> b,
-         std::span<double> out) {
-  COUPON_ASSERT(a.size() == b.size() && a.size() == out.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    out[i] = a[i] + b[i];
-  }
-}
-
-void sub(std::span<const double> a, std::span<const double> b,
-         std::span<double> out) {
-  COUPON_ASSERT(a.size() == b.size() && a.size() == out.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    out[i] = a[i] - b[i];
-  }
-}
-
 double max_abs_diff(std::span<const double> a, std::span<const double> b) {
   COUPON_ASSERT(a.size() == b.size());
   double m = 0.0;

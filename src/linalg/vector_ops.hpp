@@ -4,10 +4,10 @@
 /// BLAS-1 style kernels over `std::span<double>`.
 ///
 /// These free functions are the building blocks for the gradient
-/// computations (sums of per-example gradients) and for the dense solvers.
-/// They are deliberately allocation-free; callers own all buffers.
+/// computations (sums of per-example gradients) and the decoders. They
+/// are deliberately allocation-free; callers own all buffers.
 ///
-/// The five hottest kernels (dot, axpy, scal, fill, copy) are defined
+/// The hot kernels (dot, axpy, scal, fill) are defined
 /// inline here: they sit on the per-example gradient path, where the call
 /// into a separate translation unit costs more than the loop body at the
 /// p ~ 20 dimensions the benches run. Bitwise-safe to inline — every TU
@@ -226,30 +226,10 @@ inline void scal(double alpha, std::span<double> x) {
   }
 }
 
-/// Euclidean norm ||x||_2.
-double nrm2(std::span<const double> x);
-
-/// Sum of elements.
-double asum_signed(std::span<const double> x);
-
-/// y = x (sizes must match).
-inline void copy(std::span<const double> x, std::span<double> y) {
-  COUPON_DCHECK(x.size() == y.size());
-  std::copy(x.begin(), x.end(), y.begin());
-}
-
 /// x = value everywhere.
 inline void fill(std::span<double> x, double value) {
   std::fill(x.begin(), x.end(), value);
 }
-
-/// out = a + b (sizes must match).
-void add(std::span<const double> a, std::span<const double> b,
-         std::span<double> out);
-
-/// out = a - b (sizes must match).
-void sub(std::span<const double> a, std::span<const double> b,
-         std::span<double> out);
 
 /// max_i |a_i - b_i|; 0 for empty spans. Sizes must match.
 double max_abs_diff(std::span<const double> a, std::span<const double> b);

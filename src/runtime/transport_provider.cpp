@@ -67,12 +67,20 @@ bool TransportProvider::next_arrival(engine::ArrivalView& out) {
             : master_.recv();
     switch (event.status) {
       case comm::RecvStatus::kMessage: {
-        COUPON_ASSERT(event.message.tag == comm::kTagGradient);
+        // Key the reply by the stream it arrived on, never by the frame's
+        // own (worker-written) source field.
+        const std::size_t worker = event.peer - 1;
+        if (worker >= num_workers_ || alive_[worker] == 0) {
+          continue;  // no such worker, or one already given up on
+        }
+        if (event.message.tag != comm::kTagGradient ||
+            event.message.source != static_cast<std::int32_t>(event.peer)) {
+          mark_dead(worker);  // a worker that breaks protocol is lost
+          continue;
+        }
         if (event.message.iteration != iteration_) {
           continue;  // stale reply from an iteration the master left early
         }
-        const auto worker = static_cast<std::size_t>(event.message.source) - 1;
-        COUPON_ASSERT(worker < num_workers_);
         if (replied_[worker] != 0) {
           continue;  // duplicate (cannot happen on a healthy stream)
         }

@@ -18,6 +18,10 @@
 ///    anyone: the stragglers' eventual replies are skipped as stale.
 ///  - Stale replies (iteration != current) are consumed and dropped, as
 ///    the threaded provider always did.
+///  - A reply is keyed by the stream it arrived on (`RecvEvent::peer`).
+///    A frame that is not a gradient, or whose `source` names another
+///    rank than its stream, marks that worker dead like an EOF, and
+///    later frames from a dead worker are dropped.
 
 #include <chrono>
 #include <cstdint>
@@ -52,7 +56,7 @@ class TransportProvider final : public engine::IterationProvider {
   bool next_arrival(engine::ArrivalView& out) override;
   engine::IterationTiming end_iteration() override;
 
-  /// Workers observed dead (EOF) so far.
+  /// Workers observed dead (EOF or protocol violation) so far.
   std::size_t workers_lost() const { return workers_lost_; }
 
   /// Iterations abandoned by the worker_timeout backstop.
@@ -69,8 +73,9 @@ class TransportProvider final : public engine::IterationProvider {
   void await_death(std::size_t worker);
 
  private:
-  /// Handles an EOF for `worker`: permanent death, adjusting this
-  /// iteration's expectation if it still owed a reply.
+  /// Handles an EOF or a protocol violation from `worker`: permanent
+  /// death, adjusting this iteration's expectation if it still owed a
+  /// reply.
   void mark_dead(std::size_t worker);
 
   comm::Transport& master_;

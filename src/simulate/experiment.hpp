@@ -2,7 +2,7 @@
 
 /// \file experiment.hpp
 /// The EC2 cluster calibration behind the paper's experiments (Section
-/// III-C) and the per-iteration trace CSV schema. The paper's two
+/// III-C). The paper's two
 /// scenarios are driver presets (driver::paper_scenario_one/two) on the
 /// `shifted_exp` scenario, whose cluster is `ec2_cluster()`; the driver
 /// runs them and renders Table I/II-style rows (driver::summary_table).
@@ -18,9 +18,6 @@
 /// depend on the exact constants; see bench/ablation_master_bw for the
 /// sensitivity sweep.
 
-#include <string>
-#include <vector>
-
 #include "simulate/cluster_sim.hpp"
 
 namespace coupon::simulate {
@@ -28,20 +25,5 @@ namespace coupon::simulate {
 /// The EC2 cluster calibration behind the paper's two scenarios (the
 /// driver's "shifted_exp" straggler scenario).
 ClusterConfig ec2_cluster();
-
-/// Column names of the per-iteration trace CSV: iteration,total_time,
-/// compute_time,comm_time,workers_heard,units_received,recovered. Shared
-/// by `write_iteration_csv` and the driver's CSV emitter so the schema
-/// cannot drift.
-const std::vector<std::string>& iteration_csv_header();
-
-/// Renders iteration `index` as CSV fields matching
-/// `iteration_csv_header()`.
-std::vector<std::string> iteration_csv_fields(std::size_t index,
-                                              const IterationReport& it);
-
-/// Exports a run's per-iteration reports as CSV (header above) — for
-/// external plotting of latency traces.
-void write_iteration_csv(std::ostream& os, const RunReport& run);
 
 }  // namespace coupon::simulate

@@ -87,14 +87,4 @@ struct Weibull {
   double quantile(double p) const;
 };
 
-/// Two-component spherical Gaussian mixture used by the paper's synthetic
-/// dataset (Section III-C): x ~ 0.5 N(mu1, I) + 0.5 N(mu2, I).
-struct GaussianMixture2 {
-  /// Samples one scalar coordinate given the two component means.
-  static double sample_coord(Rng& rng, bool first_component, double mean1,
-                             double mean2) {
-    return rng.normal(first_component ? mean1 : mean2, 1.0);
-  }
-};
-
 }  // namespace coupon::stats

@@ -46,34 +46,6 @@ std::uint64_t Rng::next_u64() {
   return result;
 }
 
-void Rng::jump() {
-  static constexpr std::uint64_t kJump[] = {
-      0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL, 0xa9582618e03fc9aaULL,
-      0x39abdc4529b1661cULL};
-  std::uint64_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-  for (std::uint64_t word : kJump) {
-    for (int b = 0; b < 64; ++b) {
-      if (word & (1ULL << b)) {
-        s0 ^= state_[0];
-        s1 ^= state_[1];
-        s2 ^= state_[2];
-        s3 ^= state_[3];
-      }
-      next_u64();
-    }
-  }
-  state_[0] = s0;
-  state_[1] = s1;
-  state_[2] = s2;
-  state_[3] = s3;
-}
-
-Rng Rng::split() {
-  Rng child = *this;
-  jump();
-  return child;
-}
-
 double Rng::uniform() {
   return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
 }

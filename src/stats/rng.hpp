@@ -19,8 +19,7 @@ namespace coupon::stats {
 
 /// xoshiro256** 1.0 generator (Blackman & Vigna), seeded with splitmix64.
 ///
-/// Passes BigCrush; period 2^256 − 1. `jump()` provides 2^128 independent
-/// subsequences for parallel workers.
+/// Passes BigCrush; period 2^256 − 1.
 class Rng {
  public:
   using result_type = std::uint64_t;
@@ -30,14 +29,6 @@ class Rng {
 
   /// Raw 64-bit draw.
   std::uint64_t next_u64();
-
-  /// Equivalent of 2^128 calls to next_u64(); used to derive per-worker
-  /// streams that never overlap.
-  void jump();
-
-  /// Returns a new generator whose stream is disjoint from this one.
-  /// Advances this generator by one jump.
-  Rng split();
 
   /// Uniform double in [0, 1) with 53 bits of precision.
   double uniform();

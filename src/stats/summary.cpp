@@ -80,33 +80,4 @@ double ks_distance(std::vector<double> samples,
   return d;
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0) {
-  COUPON_ASSERT(hi > lo && buckets > 0);
-}
-
-void Histogram::add(double x) {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  auto idx = static_cast<std::ptrdiff_t>((x - lo_) / width);
-  idx = std::clamp<std::ptrdiff_t>(
-      idx, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  raw_.push_back(x);
-  ++total_;
-}
-
-double Histogram::edge(std::size_t i) const {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * static_cast<double>(i);
-}
-
-double Histogram::tail_fraction(double x) const {
-  if (total_ == 0) {
-    return 0.0;
-  }
-  const auto count = static_cast<double>(
-      std::count_if(raw_.begin(), raw_.end(), [x](double v) { return v >= x; }));
-  return count / static_cast<double>(total_);
-}
-
 }  // namespace coupon::stats

@@ -48,27 +48,4 @@ double quantile(std::vector<double> samples, double q);
 double ks_distance(std::vector<double> samples,
                    const std::function<double(double)>& cdf);
 
-/// Fixed-width histogram over [lo, hi); values outside are clamped into
-/// the first/last bucket. Used by the latency benches to print tails.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x);
-  std::size_t bucket_count() const { return counts_.size(); }
-  std::size_t count(std::size_t bucket) const { return counts_[bucket]; }
-  std::size_t total() const { return total_; }
-  /// Lower edge of bucket `i`.
-  double edge(std::size_t i) const;
-  /// Fraction of observations at or above `x` (empirical tail).
-  double tail_fraction(double x) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::vector<double> raw_;  // kept for exact tail queries
-  std::size_t total_ = 0;
-};
-
 }  // namespace coupon::stats

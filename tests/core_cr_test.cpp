@@ -82,9 +82,10 @@ TEST_P(CrConstructionTest, DecodableFromAnyRandomSubset) {
   const std::size_t s = scheme.stragglers_tolerated();
   for (int trial = 0; trial < 20; ++trial) {
     const auto workers = rng.sample_without_replacement(n, n - s);
-    const auto coeffs = scheme.decoding_coefficients(workers);
-    ASSERT_TRUE(coeffs.has_value()) << "trial " << trial;
-    expect_combination_is_ones(scheme, workers, *coeffs);
+    CrDecodeWorkspace ws;
+    ASSERT_TRUE(scheme.decoding_coefficients_into(workers, ws))
+        << "trial " << trial;
+    expect_combination_is_ones(scheme, workers, ws.coeffs);
   }
 }
 
@@ -105,9 +106,10 @@ TEST_P(CrConstructionTest, DecodableUnderAdversarialConsecutiveStragglers) {
       }
     }
     ASSERT_EQ(workers.size(), n - s);
-    const auto coeffs = scheme.decoding_coefficients(workers);
-    ASSERT_TRUE(coeffs.has_value()) << "straggler run at " << start;
-    expect_combination_is_ones(scheme, workers, *coeffs);
+    CrDecodeWorkspace ws;
+    ASSERT_TRUE(scheme.decoding_coefficients_into(workers, ws))
+        << "straggler run at " << start;
+    expect_combination_is_ones(scheme, workers, ws.coeffs);
   }
 }
 
@@ -138,7 +140,8 @@ TEST(Cr, TooFewWorkersCannotDecode) {
   stats::Rng rng(3);
   CyclicRepetitionScheme scheme(10, 4, rng);
   const auto workers = rng.sample_without_replacement(10, 6);  // < n - s = 7
-  EXPECT_FALSE(scheme.decoding_coefficients(workers).has_value());
+  CrDecodeWorkspace ws;
+  EXPECT_FALSE(scheme.decoding_coefficients_into(workers, ws));
 }
 
 TEST(Cr, CollectorReadyExactlyAtThreshold) {

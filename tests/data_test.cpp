@@ -185,23 +185,6 @@ TEST(Synthetic, LabelsAnticorrelateWithTrueMargin) {
   EXPECT_LT(corr / static_cast<double>(prob.dataset.num_examples()), 0.0);
 }
 
-TEST(Synthetic, SelectSubsetsRows) {
-  stats::Rng rng(17);
-  SyntheticConfig config;
-  config.num_features = 6;
-  const auto prob = generate_logreg(10, config, rng);
-  const std::vector<std::size_t> idx = {3, 7, 9};
-  const Dataset sub = prob.dataset.select(idx);
-  EXPECT_EQ(sub.num_examples(), 3u);
-  EXPECT_EQ(sub.num_features(), 6u);
-  for (std::size_t k = 0; k < idx.size(); ++k) {
-    EXPECT_EQ(sub.y[k], prob.dataset.y[idx[k]]);
-    for (std::size_t c = 0; c < 6; ++c) {
-      EXPECT_DOUBLE_EQ(sub.x(k, c), prob.dataset.x(idx[k], c));
-    }
-  }
-}
-
 TEST(Synthetic, RejectsDegenerateArguments) {
   stats::Rng rng(1);
   SyntheticConfig config;

@@ -1,15 +1,17 @@
-// Tests for the dense direct solvers (LU, QR least squares, Cholesky).
+// Tests for the two dense solves of the cyclic-repetition baseline:
+// partial-pivot LU (`solve`) and Householder QR least squares
+// (`lstsq_into`).
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 #include <vector>
 
-#include "linalg/gemm.hpp"
-#include "linalg/gemv.hpp"
 #include "linalg/solve.hpp"
 #include "linalg/vector_ops.hpp"
 #include "stats/rng.hpp"
+#include "util/assert.hpp"
 
 namespace coupon::linalg {
 namespace {
@@ -30,6 +32,37 @@ std::vector<double> random_vector(std::size_t n, stats::Rng& rng) {
   return v;
 }
 
+/// A x.
+std::vector<double> times(const Matrix& a, std::span<const double> x) {
+  std::vector<double> out(a.rows());
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    out[i] = dot(a.row(i), x);
+  }
+  return out;
+}
+
+/// ||A x - b||_2.
+double residual(const Matrix& a, std::span<const double> x,
+                std::span<const double> b) {
+  const std::vector<double> ax = times(a, x);
+  double ss = 0.0;
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    ss += (ax[i] - b[i]) * (ax[i] - b[i]);
+  }
+  return std::sqrt(ss);
+}
+
+/// `lstsq_into` through a fresh workspace; nullopt when rank deficient.
+std::optional<std::vector<double>> least_squares(const Matrix& a,
+                                                 std::span<const double> b) {
+  LstsqWorkspace ws;
+  std::vector<double> x(a.cols());
+  if (!lstsq_into(a, b, x, ws)) {
+    return std::nullopt;
+  }
+  return x;
+}
+
 // --- LU ----------------------------------------------------------------------
 
 class LuSolveTest : public ::testing::TestWithParam<std::size_t> {};
@@ -42,7 +75,8 @@ TEST_P(LuSolveTest, RandomSystemResidualIsTiny) {
     const auto b = random_vector(n, rng);
     const auto x = solve(a, b);
     ASSERT_TRUE(x.has_value());
-    EXPECT_LT(residual_norm(a, *x, b), 1e-9 * (1.0 + nrm2(b)));
+    EXPECT_LT(residual(a, *x, b),
+              1e-9 * (1.0 + std::sqrt(dot(b, b))));
   }
 }
 
@@ -73,18 +107,6 @@ TEST(LuSolve, PivotingHandlesZeroLeadingEntry) {
   EXPECT_NEAR((*x)[1], 3.0, 1e-12);
 }
 
-TEST(LuFactor, ReusableForMultipleRhs) {
-  stats::Rng rng(7);
-  const Matrix a = random_matrix(8, 8, rng);
-  const auto factors = lu_factor(a);
-  for (int trial = 0; trial < 3; ++trial) {
-    const auto b = random_vector(8, rng);
-    const auto x = lu_solve(factors, b);
-    ASSERT_TRUE(x.has_value());
-    EXPECT_LT(residual_norm(a, *x, b), 1e-10);
-  }
-}
-
 // --- QR / least squares --------------------------------------------------------
 
 class QrSquareTest : public ::testing::TestWithParam<std::size_t> {};
@@ -94,9 +116,7 @@ TEST_P(QrSquareTest, SquareSystemSolvedExactly) {
   stats::Rng rng(200 + n);
   const Matrix a = random_matrix(n, n, rng);
   const auto x_true = random_vector(n, rng);
-  std::vector<double> b(n, 0.0);
-  gemv(1.0, a, x_true, 0.0, b);
-  const auto x = lstsq(a, b);
+  const auto x = least_squares(a, times(a, x_true));
   ASSERT_TRUE(x.has_value());
   EXPECT_LT(max_abs_diff(*x, x_true), 1e-8);
 }
@@ -108,26 +128,31 @@ TEST(Lstsq, ConsistentOverdeterminedIsExact) {
   stats::Rng rng(11);
   const Matrix a = random_matrix(30, 8, rng);
   const auto x_true = random_vector(8, rng);
-  std::vector<double> b(30, 0.0);
-  gemv(1.0, a, x_true, 0.0, b);
-  const auto x = lstsq(a, b);
+  const std::vector<double> b = times(a, x_true);
+  const auto x = least_squares(a, b);
   ASSERT_TRUE(x.has_value());
   EXPECT_LT(max_abs_diff(*x, x_true), 1e-9);
-  EXPECT_LT(residual_norm(a, *x, b), 1e-9);
+  EXPECT_LT(residual(a, *x, b), 1e-9);
 }
 
 TEST(Lstsq, InconsistentMatchesNormalEquations) {
   stats::Rng rng(13);
   const Matrix a = random_matrix(20, 5, rng);
   const auto b = random_vector(20, rng);
-  const auto x = lstsq(a, b);
+  const auto x = least_squares(a, b);
   ASSERT_TRUE(x.has_value());
-  // Normal equations: (A^T A) x = A^T b, solved with Cholesky (SPD).
-  const Matrix at = a.transposed();
-  const Matrix ata = matmul(at, a);
+  // Normal equations: (A^T A) x = A^T b, solved by LU.
+  Matrix ata(5, 5);
   std::vector<double> atb(5, 0.0);
-  gemv(1.0, at, b, 0.0, atb);
-  const auto x_ne = cholesky_solve(ata, atb);
+  for (std::size_t i = 0; i < 20; ++i) {
+    for (std::size_t j = 0; j < 5; ++j) {
+      atb[j] += a(i, j) * b[i];
+      for (std::size_t k = 0; k < 5; ++k) {
+        ata(j, k) += a(i, j) * a(i, k);
+      }
+    }
+  }
+  const auto x_ne = solve(ata, atb);
   ASSERT_TRUE(x_ne.has_value());
   EXPECT_LT(max_abs_diff(*x, *x_ne), 1e-8);
 }
@@ -136,13 +161,17 @@ TEST(Lstsq, ResidualIsOrthogonalToColumnSpace) {
   stats::Rng rng(17);
   const Matrix a = random_matrix(25, 6, rng);
   const auto b = random_vector(25, rng);
-  const auto x = lstsq(a, b);
+  const auto x = least_squares(a, b);
   ASSERT_TRUE(x.has_value());
   // r = A x - b must satisfy A^T r = 0.
-  std::vector<double> r(b.begin(), b.end());
-  gemv(1.0, a, *x, -1.0, r);
+  std::vector<double> r = times(a, *x);
+  for (std::size_t i = 0; i < r.size(); ++i) {
+    r[i] -= b[i];
+  }
   std::vector<double> atr(6, 0.0);
-  gemv_transposed(1.0, a, r, 0.0, atr);
+  for (std::size_t i = 0; i < 25; ++i) {
+    axpy(r[i], a.row(i), atr);
+  }
   EXPECT_LT(max_abs(atr), 1e-9);
 }
 
@@ -155,71 +184,42 @@ TEST(Lstsq, RankDeficientReturnsNullopt) {
     a(i, 1) = a(i, 0);
   }
   const auto b = random_vector(6, rng);
-  EXPECT_FALSE(lstsq(a, b).has_value());
+  EXPECT_FALSE(least_squares(a, b).has_value());
 }
 
-TEST(QrFactor, RequiresRowsGeqCols) {
-  EXPECT_THROW(qr_factor(Matrix(3, 5)), coupon::AssertionError);
+TEST(Lstsq, RequiresRowsGeqCols) {
+  LstsqWorkspace ws;
+  const std::vector<double> b(3, 1.0);
+  std::vector<double> x(5);
+  EXPECT_THROW(lstsq_into(Matrix(3, 5), b, x, ws), coupon::AssertionError);
 }
 
-TEST(QrFactor, RPreservesColumnNorms) {
-  // |det(R)| == |det(A)| is hard; instead check ||A e_1|| == |R_11|.
-  stats::Rng rng(23);
-  const Matrix a = random_matrix(10, 4, rng);
-  const auto f = qr_factor(a);
-  ASSERT_FALSE(f.rank_deficient);
-  double col0 = 0.0;
-  for (std::size_t i = 0; i < 10; ++i) {
-    col0 += a(i, 0) * a(i, 0);
+TEST(Lstsq, WarmWorkspaceMatchesFreshAcrossShapes) {
+  // The CR decoder reuses one workspace across iterations whose survivor
+  // sets differ in size: a warm solve must be bitwise a fresh one.
+  stats::Rng rng(37);
+  const Matrix wide = random_matrix(8, 5, rng);
+  const Matrix narrow = random_matrix(8, 3, rng);
+  Matrix deficient(8, 3);
+  for (std::size_t i = 0; i < 8; ++i) {
+    deficient(i, 0) = rng.normal();
+    deficient(i, 1) = rng.normal();
+    deficient(i, 2) = deficient(i, 0);
   }
-  EXPECT_NEAR(std::abs(f.qr(0, 0)), std::sqrt(col0), 1e-10);
-}
-
-// --- Cholesky -------------------------------------------------------------------
-
-TEST(Cholesky, FactorsSpdMatrix) {
-  stats::Rng rng(29);
-  const Matrix g = random_matrix(6, 12, rng);
-  const Matrix a = matmul(g, g.transposed());  // SPD with prob. 1
-  const auto l = cholesky(a);
-  ASSERT_TRUE(l.has_value());
-  const Matrix rec = matmul(*l, l->transposed());
-  for (std::size_t i = 0; i < 6; ++i) {
-    for (std::size_t j = 0; j < 6; ++j) {
-      EXPECT_NEAR(rec(i, j), a(i, j), 1e-9);
-    }
-  }
-}
-
-TEST(Cholesky, RejectsIndefinite) {
-  const Matrix a = {{1.0, 2.0}, {2.0, 1.0}};  // eigenvalues 3, -1
-  EXPECT_FALSE(cholesky(a).has_value());
-}
-
-TEST(CholeskySolve, SolvesSpdSystem) {
-  stats::Rng rng(31);
-  const Matrix g = random_matrix(8, 16, rng);
-  const Matrix a = matmul(g, g.transposed());
-  const auto x_true = random_vector(8, rng);
-  std::vector<double> b(8, 0.0);
-  gemv(1.0, a, x_true, 0.0, b);
-  const auto x = cholesky_solve(a, b);
-  ASSERT_TRUE(x.has_value());
-  EXPECT_LT(max_abs_diff(*x, x_true), 1e-7);
-}
-
-TEST(ResidualNorm, ZeroForExactSolution) {
-  const Matrix a = {{2.0, 0.0}, {0.0, 2.0}};
-  const std::vector<double> x = {1.0, 2.0};
-  const std::vector<double> b = {2.0, 4.0};
-  EXPECT_NEAR(residual_norm(a, x, b), 0.0, 1e-14);
-}
-
-TEST(ResidualNorm, MeasuresDeviation) {
-  const Matrix a = Matrix::identity(2);
-  const std::vector<double> x = {1.0, 0.0};
-  const std::vector<double> b = {0.0, 0.0};
-  EXPECT_NEAR(residual_norm(a, x, b), 1.0, 1e-14);
+  const auto b = random_vector(8, rng);
+  LstsqWorkspace warm;
+  const auto warm_solve = [&](const Matrix& a) {
+    std::vector<double> x(a.cols());
+    EXPECT_TRUE(lstsq_into(a, b, x, warm));
+    return x;
+  };
+  EXPECT_EQ(warm_solve(wide), *least_squares(wide, b));
+  EXPECT_EQ(warm_solve(narrow), *least_squares(narrow, b));
+  EXPECT_EQ(warm_solve(wide), *least_squares(wide, b));
+  std::vector<double> x(3);
+  EXPECT_FALSE(lstsq_into(deficient, b, x, warm));
+  EXPECT_EQ(warm_solve(narrow), *least_squares(narrow, b));
+  EXPECT_EQ(warm_solve(wide), *least_squares(wide, b));
 }
 
 }  // namespace

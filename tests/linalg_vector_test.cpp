@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <vector>
 
 #include "linalg/vector_ops.hpp"
@@ -32,7 +31,7 @@ TEST(Dot, UnrolledPathMatchesNaive) {
 }
 
 TEST(Dot, SizeMismatchIsDebugCheckedOnly) {
-  // dot/axpy/copy size checks are COUPON_DCHECK (the hot-inner-loop
+  // dot/axpy size checks are COUPON_DCHECK (the hot-inner-loop
   // idiom): they fire only in COUPON_ENABLE_DCHECK builds.
 #ifdef COUPON_ENABLE_DCHECK
   const std::vector<double> x = {1.0};
@@ -66,47 +65,11 @@ TEST(Scal, ScalesInPlace) {
   EXPECT_DOUBLE_EQ(x[2], -6.0);
 }
 
-TEST(Nrm2, MatchesEuclideanNorm) {
-  const std::vector<double> x = {3.0, 4.0};
-  EXPECT_DOUBLE_EQ(nrm2(x), 5.0);
-  EXPECT_DOUBLE_EQ(nrm2(std::span<const double>{}), 0.0);
-}
-
-TEST(Nrm2, AvoidsOverflow) {
-  const std::vector<double> x = {1e200, 1e200};
-  EXPECT_NEAR(nrm2(x), std::sqrt(2.0) * 1e200, 1e187);
-}
-
-TEST(Nrm2, AvoidsUnderflow) {
-  const std::vector<double> x = {1e-200, 1e-200};
-  EXPECT_NEAR(nrm2(x) / 1e-200, std::sqrt(2.0), 1e-12);
-}
-
-TEST(AsumSigned, SumsElements) {
-  const std::vector<double> x = {1.0, -2.0, 3.0};
-  EXPECT_DOUBLE_EQ(asum_signed(x), 2.0);
-}
-
-TEST(CopyFill, Work) {
-  const std::vector<double> x = {1.0, 2.0};
-  std::vector<double> y(2);
-  copy(x, y);
-  EXPECT_EQ(y, x);
+TEST(Fill, SetsEveryElement) {
+  std::vector<double> y = {1.0, 2.0};
   fill(y, 7.0);
   EXPECT_DOUBLE_EQ(y[0], 7.0);
   EXPECT_DOUBLE_EQ(y[1], 7.0);
-}
-
-TEST(AddSub, Elementwise) {
-  const std::vector<double> a = {1.0, 2.0};
-  const std::vector<double> b = {10.0, 20.0};
-  std::vector<double> out(2);
-  add(a, b, out);
-  EXPECT_DOUBLE_EQ(out[0], 11.0);
-  EXPECT_DOUBLE_EQ(out[1], 22.0);
-  sub(b, a, out);
-  EXPECT_DOUBLE_EQ(out[0], 9.0);
-  EXPECT_DOUBLE_EQ(out[1], 18.0);
 }
 
 TEST(MaxAbsDiff, FindsWorstDeviation) {

@@ -2,19 +2,26 @@
 // worker threads must reproduce serial training exactly (up to decode
 // round-off), for every scheme, with and without injected stragglers.
 // Also unit tests of the worker loop both live runtimes share, driven
-// over an in-process endpoint pair.
+// over an in-process endpoint pair, and of the master's handling of
+// frames that break the protocol.
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cctype>
 #include <future>
+#include <optional>
+#include <thread>
 
 #include "core/core.hpp"
 #include "data/synthetic.hpp"
 #include "linalg/vector_ops.hpp"
 #include "opt/opt.hpp"
+#include "comm/tcp_transport.hpp"
 #include "comm/transport.hpp"
 #include "runtime/runtime.hpp"
+#include "runtime/transport_provider.hpp"
 #include "runtime/worker.hpp"
 #include "stats/rng.hpp"
 
@@ -435,6 +442,159 @@ TEST_F(WorkerLoopTest, NonBroadcastTagIsAProtocolViolation) {
   start();
   send(comm::kTagGradient, 0, {1.0});
   EXPECT_EQ(join(), WorkerExit::kProtocolViolation);
+}
+
+
+// --- the master's handling of worker frames -----------------------------------
+
+/// Forwards to a TransportProvider, first posting `frame` into the
+/// master's mailbox when iteration `at` begins, ahead of every reply.
+class InjectingProvider final : public engine::IterationProvider {
+ public:
+  InjectingProvider(TransportProvider& inner, comm::InProcNetwork& network,
+                    std::size_t at, comm::Message frame)
+      : inner_(inner), network_(network), at_(at), frame_(std::move(frame)) {}
+
+  void begin_iteration(std::size_t iteration,
+                       std::span<const double> w) override {
+    if (iteration == at_) {
+      EXPECT_TRUE(network_.send(frame_));
+    }
+    inner_.begin_iteration(iteration, w);
+  }
+  bool next_arrival(engine::ArrivalView& out) override {
+    return inner_.next_arrival(out);
+  }
+  engine::IterationTiming end_iteration() override {
+    return inner_.end_iteration();
+  }
+
+ private:
+  TransportProvider& inner_;
+  comm::InProcNetwork& network_;
+  std::size_t at_;
+  comm::Message frame_;
+};
+
+TEST(TransportProviderFrames, WrongTagLosesTheWorkerAndBccRecoversWithout) {
+  const auto setup = make_setup("bcc");
+  // The victim shares its batch with another worker, so bcc still covers
+  // every unit once the victim is gone.
+  const auto& placement = setup.scheme->placement();
+  std::optional<std::size_t> victim;
+  for (std::size_t i = 0; i < kWorkers && !victim; ++i) {
+    for (std::size_t j = 0; j < kWorkers; ++j) {
+      if (j != i && placement.worker(j) == placement.worker(i)) {
+        victim = i;
+        break;
+      }
+    }
+  }
+  ASSERT_TRUE(victim.has_value());
+  const auto expected = serial_reference(setup.problem.dataset);
+
+  comm::InProcNetwork network(kWorkers + 1);
+  StragglerInjection straggler;
+  std::vector<std::thread> workers;
+  for (std::size_t i = 0; i < kWorkers; ++i) {
+    workers.emplace_back([&, i] {
+      comm::InProcessTransport endpoint(network, i + 1);
+      run_worker(endpoint, *setup.scheme, *setup.source,
+                 /*straggler_seed=*/42, straggler, /*crash=*/std::nullopt);
+    });
+  }
+
+  // In iteration 2 the victim's stream carries a broadcast-tagged frame.
+  comm::Message bogus;
+  bogus.source = static_cast<std::int32_t>(*victim + 1);
+  bogus.dest = 0;
+  bogus.tag = comm::kTagModelBroadcast;
+  bogus.iteration = 2;
+  bogus.payload.assign(kFeatures, 0.0);
+  comm::InProcessTransport master(network, 0);
+  TransportProvider provider(master, kWorkers, {});
+  InjectingProvider injecting(provider, network, 2, std::move(bogus));
+  engine::TrainingEngine engine(*setup.scheme, *setup.source, injecting);
+  opt::NesterovGradient opt(kFeatures,
+                            opt::LearningRateSchedule::constant(0.5));
+  engine::TrainOptions options;
+  options.iterations = kIterations;
+  engine::TrainReport report;
+  EXPECT_NO_THROW(report = engine.train(opt, options));
+
+  for (std::size_t i = 0; i < kWorkers; ++i) {
+    comm::Message bye;
+    bye.dest = static_cast<std::int32_t>(i + 1);
+    bye.tag = comm::kTagShutdown;
+    master.send(std::move(bye));
+  }
+  for (auto& t : workers) {
+    t.join();
+  }
+
+  EXPECT_EQ(provider.workers_lost(), 1u);
+  EXPECT_FALSE(provider.worker_alive(*victim));
+  EXPECT_EQ(report.failed_iterations, 0u);
+  ASSERT_EQ(report.weights.size(), expected.size());
+  EXPECT_LT(linalg::max_abs_diff(report.weights, expected), 1e-7);
+}
+
+comm::Message gradient_frame(std::int32_t source, std::int64_t iteration,
+                             double value) {
+  comm::Message m;
+  m.source = source;
+  m.dest = 0;
+  m.tag = comm::kTagGradient;
+  m.iteration = iteration;
+  m.payload = {value};
+  return m;
+}
+
+TEST(TransportProviderFrames, SpoofedSourceLosesTheStreamItArrivedOn) {
+  if (!comm::socketpair_available()) {
+    GTEST_SKIP() << "no AF_UNIX socketpair in this sandbox";
+  }
+  int a[2];
+  int b[2];
+  ASSERT_TRUE(comm::make_stream_socketpair(a));
+  ASSERT_TRUE(comm::make_stream_socketpair(b));
+  auto master = comm::TcpTransport::master({a[0], b[0]});
+  TransportProvider provider(
+      *master, 2,
+      {.worker_timeout = std::chrono::milliseconds(200), .elasticity = {}});
+  const std::vector<double> w = {1.0, 2.0};
+  engine::ArrivalView arrival;
+
+  // Worker 1's stream carries a frame that claims to come from worker 2.
+  provider.begin_iteration(0, w);
+  ASSERT_TRUE(comm::send_frame(a[1], gradient_frame(2, 0, 9.0)));
+  EXPECT_FALSE(provider.next_arrival(arrival));  // worker 2 is silent
+  EXPECT_FALSE(provider.worker_alive(0));
+  EXPECT_TRUE(provider.worker_alive(1));
+  EXPECT_EQ(provider.workers_lost(), 1u);
+
+  // Worker 2's own reply still counts.
+  ASSERT_TRUE(comm::send_frame(b[1], gradient_frame(2, 0, 5.0)));
+  ASSERT_TRUE(provider.next_arrival(arrival));
+  EXPECT_EQ(arrival.worker, 1u);
+  ASSERT_EQ(arrival.payload.size(), 1u);
+  EXPECT_EQ(arrival.payload[0], 5.0);
+  provider.end_iteration();
+
+  // A later, well-formed frame from the dead stream is dropped.
+  provider.begin_iteration(1, w);
+  ASSERT_TRUE(comm::send_frame(a[1], gradient_frame(1, 1, 7.0)));
+  ASSERT_TRUE(comm::send_frame(b[1], gradient_frame(2, 1, 6.0)));
+  ASSERT_TRUE(provider.next_arrival(arrival));
+  EXPECT_EQ(arrival.worker, 1u);
+  ASSERT_EQ(arrival.payload.size(), 1u);
+  EXPECT_EQ(arrival.payload[0], 6.0);
+  EXPECT_FALSE(provider.next_arrival(arrival));  // nothing else is owed
+  provider.end_iteration();
+
+  master->close();
+  ::close(a[1]);
+  ::close(b[1]);
 }
 
 }  // namespace

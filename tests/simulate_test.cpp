@@ -245,21 +245,26 @@ TEST(SimulateIteration, OverrideSizeMismatchAsserts) {
                coupon::AssertionError);
 }
 
-
-TEST(WriteIterationCsv, EmitsHeaderAndOneLinePerIteration) {
+TEST(CsvTraceSink, EmitsHeaderAndOneLinePerIteration) {
   stats::Rng rng(13);
   core::SchemeConfig config{6, 6, 2, false};
   auto scheme =
       core::SchemeRegistry::instance().create("cr", config, rng);
-  const auto run = simulate_run(*scheme, test_cluster(), traced(5), rng);
+  driver::RunRecord record;
+  record.scheme = "cr";
+  record.scenario = "shifted_exp";
+  record.runtime = "sim";
+  record.trace =
+      simulate_run(*scheme, test_cluster(), traced(5), rng).iterations;
   std::ostringstream os;
-  write_iteration_csv(os, run);
+  driver::CsvTraceSink sink(os);
+  sink.write(record);
   const std::string text = os.str();
   // Header + 5 data rows.
   EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 6);
   EXPECT_NE(text.find("iteration,total_time"), std::string::npos);
-  EXPECT_NE(text.find("\n0,"), std::string::npos);
-  EXPECT_NE(text.find("\n4,"), std::string::npos);
+  EXPECT_NE(text.find("\ncr,shifted_exp,sim,0,"), std::string::npos);
+  EXPECT_NE(text.find("\ncr,shifted_exp,sim,4,"), std::string::npos);
   // CR hears n - s = 5 workers each iteration.
   EXPECT_NE(text.find(",5,"), std::string::npos);
 }

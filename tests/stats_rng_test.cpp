@@ -28,25 +28,6 @@ TEST(Rng, DifferentSeedsDifferentStreams) {
   EXPECT_LT(equal, 3);
 }
 
-TEST(Rng, SplitStreamsDiverge) {
-  Rng parent(7);
-  Rng child = parent.split();
-  int equal = 0;
-  for (int i = 0; i < 100; ++i) {
-    equal += parent.next_u64() == child.next_u64() ? 1 : 0;
-  }
-  EXPECT_LT(equal, 3);
-}
-
-TEST(Rng, SplitIsDeterministic) {
-  Rng a(7), b(7);
-  Rng ca = a.split();
-  Rng cb = b.split();
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(ca.next_u64(), cb.next_u64());
-  }
-}
-
 TEST(Rng, UniformInHalfOpenUnitInterval) {
   Rng rng(11);
   for (int i = 0; i < 10000; ++i) {

@@ -1,4 +1,4 @@
-// Tests for streaming statistics, quantiles, and histograms.
+// Tests for streaming statistics and quantiles.
 
 #include <gtest/gtest.h>
 
@@ -109,42 +109,6 @@ TEST(Quantile, RejectsEmptyAndBadQ) {
   EXPECT_THROW(quantile({}, 0.5), coupon::AssertionError);
   EXPECT_THROW(quantile({1.0}, -0.1), coupon::AssertionError);
   EXPECT_THROW(quantile({1.0}, 1.1), coupon::AssertionError);
-}
-
-TEST(Histogram, CountsAndEdges) {
-  Histogram h(0.0, 10.0, 5);
-  for (double x : {0.5, 1.5, 2.5, 9.5, 9.9}) {
-    h.add(x);
-  }
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.count(0), 2u);  // [0,2): 0.5, 1.5
-  EXPECT_EQ(h.count(1), 1u);  // [2,4): 2.5
-  EXPECT_EQ(h.count(4), 2u);  // [8,10): 9.5, 9.9
-  EXPECT_DOUBLE_EQ(h.edge(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.edge(4), 8.0);
-}
-
-TEST(Histogram, OutOfRangeClampsToEndBuckets) {
-  Histogram h(0.0, 1.0, 2);
-  h.add(-5.0);
-  h.add(5.0);
-  EXPECT_EQ(h.count(0), 1u);
-  EXPECT_EQ(h.count(1), 1u);
-}
-
-TEST(Histogram, TailFraction) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 1; i <= 10; ++i) {
-    h.add(static_cast<double>(i));
-  }
-  EXPECT_DOUBLE_EQ(h.tail_fraction(8.0), 0.3);   // 8, 9, 10
-  EXPECT_DOUBLE_EQ(h.tail_fraction(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(h.tail_fraction(11.0), 0.0);
-}
-
-TEST(Histogram, RejectsDegenerateRange) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), coupon::AssertionError);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), coupon::AssertionError);
 }
 
 }  // namespace
