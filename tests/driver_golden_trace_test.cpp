@@ -1,5 +1,6 @@
 // Golden-trace regression: a canonical 2-scheme x 2-scenario sweep must
-// reproduce tests/golden/sweep_2x2.jsonl byte for byte.
+// reproduce tests/golden/sweep_2x2.jsonl byte for byte, and the analytic
+// oracle's ranked report must reproduce tests/golden/predict_all_n20.txt.
 //
 // The golden file was captured from the pre-LatencyModel-refactor binary
 // (`coupon_run --sweep --schemes bcc,cr --scenarios shifted_exp,lossy
@@ -21,6 +22,7 @@
 #include <string>
 
 #include "driver/driver.hpp"
+#include "driver/predict.hpp"
 #include "driver/sweep.hpp"
 
 namespace driver = coupon::driver;
@@ -149,4 +151,24 @@ TEST(GoldenConvergence, SerialTrainingSweepIsByteIdentical) {
 TEST(GoldenConvergence, ParallelTrainingSweepMatchesTheGoldenToo) {
   EXPECT_EQ(run_plan_to_jsonl(convergence_plan(), /*threads=*/4),
             read_golden("convergence_2x2.jsonl"));
+}
+
+/// The oracle golden, captured with `coupon_run --predict --scheme all
+/// --scenario shifted_exp --workers 20 --units 20 --loads 2,4,10` (seed 1).
+/// Pins every scheme's coverage reduction, the ranking (first row per
+/// (scheme, load), E[T] order, candidate order on ties), the quantiles of
+/// the top three rows, and the unsupported footer's reasons.
+TEST(GoldenPredict, RankedReportIsByteIdenticalToTheCheckedInGolden) {
+  const std::string golden = read_golden("predict_all_n20.txt");
+  ASSERT_FALSE(golden.empty());
+  driver::ExperimentConfig config;
+  config.scheme = "all";
+  config.scenario = "shifted_exp";
+  config.num_workers = 20;
+  config.num_units = 20;
+  config.seed = 1;
+  const driver::PredictReport report = driver::predict_report(
+      config, driver::predict_candidates(config, {2, 4, 10}));
+  EXPECT_EQ(driver::render_predict_report(report), golden)
+      << "--predict output drifted from tests/golden/predict_all_n20.txt";
 }
