@@ -24,7 +24,10 @@ test -s "${TMP_DIR}/threaded.csv"
 run "${BUILD_DIR}/tools/coupon_run" --scheme cr --scenario lossy \
     --runtime sim --iterations 5 --out -
 run "${BUILD_DIR}/tools/coupon_run" --list
-"${BUILD_DIR}/tools/coupon_run" --list | grep -q "analytic models"
+# Through a file: `grep -q` on a pipe can exit before the final write
+# and fail the run with SIGPIPE under pipefail.
+"${BUILD_DIR}/tools/coupon_run" --list > "${TMP_DIR}/list.txt"
+grep -q "analytic models" "${TMP_DIR}/list.txt"
 
 # Parameterized ablation scenarios (lossy:<p>, fast_network:<speedup>)
 # run; a bad argument or a non-numeric flag value exits 1 with a
@@ -45,6 +48,11 @@ expect_rejected() {
 expect_rejected --scenario lossy:abc --iterations 2
 expect_rejected --scenario lossy:1.5 --iterations 2
 expect_rejected --workers=10x --iterations 2
+# A misspelt runtime or scheme gets a did-you-mean from the fixed tables.
+expect_rejected --runtime proces --iterations 2
+grep -q "did you mean" "${TMP_DIR}/reject.err"
+expect_rejected --scheme bccc --iterations 2
+grep -q "did you mean" "${TMP_DIR}/reject.err"
 
 # --- analytic oracle gate ------------------------------------------------
 # --predict is zero-simulation and fully deterministic: two invocations

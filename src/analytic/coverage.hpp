@@ -28,10 +28,22 @@
 ///
 /// Counts are carried in doubles (exact up to the usual 1e-15 relative
 /// rounding; C(100, 50) ~ 1e29 is far below the double range).
+///
+/// `coverage_profile` picks the structure for one realized built-in
+/// scheme instance. It is the only scheme-specific knowledge the oracle
+/// needs: everything downstream (expected runtimes, quantiles, failure
+/// probabilities under drops) is scheme-agnostic order-statistics work in
+/// predictor.cpp.
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <string>
+#include <string_view>
 #include <vector>
+
+#include "core/scheme.hpp"
 
 namespace coupon::analytic {
 
@@ -57,5 +69,57 @@ std::vector<double> coverage_union_masks(
 
 /// Binomial coefficient table row: C(n, 0..n) in doubles.
 std::vector<double> binomial_row(std::size_t n);
+
+/// A scheme `coverage_profile` reduces, with its one-line `--list` text.
+struct ModeledScheme {
+  std::string_view name;  ///< `core::SchemeRegistry` name
+  std::string_view description;
+};
+
+/// The eight built-in schemes the oracle models, in registry order. sgc
+/// is listed so `--predict --scheme all` explains why it declines it.
+inline constexpr std::array<ModeledScheme, 8> kModeledSchemes{{
+    {"uncoded", "threshold n (wait-for-all; needs n | m for equal loads)"},
+    {"fr", "partition coverage over n/r replicated blocks"},
+    {"cr", "threshold n-r+1 (any n-s workers decode)"},
+    {"bcc", "partition coverage over the realized batch choices"},
+    {"simple_random",
+     "exact unit-set coverage by 2^n enumeration (n<=24, m<=64)"},
+    {"gc_cyclic",
+     "threshold n-r+1 (any n-s workers decode; r-unit messages)"},
+    {"sgc",
+     "unsupported: approximate decode has no exact-runtime reduction"},
+    {"gc_nested",
+     "threshold n-r+1 (ladder decodes by n-s; d(r)-unit messages)"},
+}};
+
+/// True when `name` is one of kModeledSchemes.
+bool is_modeled_scheme(std::string_view name);
+
+/// The reduction of one realized scheme instance.
+struct CoverageProfile {
+  /// A[j] for j = 0..n, as above.
+  std::vector<double> table;
+  /// Per-worker message size in gradient units (equal across workers —
+  /// a precondition of the reduction).
+  double message_units = 1.0;
+};
+
+/// Either a profile or a human-readable reason why the scheme instance
+/// has no exact reduction.
+struct CoverageResult {
+  std::optional<CoverageProfile> profile;
+  std::string reason;  ///< set iff !profile
+};
+
+/// Reduces the realized placement of `scheme` (its drawn batch choices
+/// included) to its coverage profile. The reduction is exact only when
+/// workers are exchangeable in the timing process — equal compute loads
+/// and equal message sizes — so it declines with a reason when they are
+/// not (uncoded with n not dividing m, BCC with r not dividing m), when
+/// `scheme` is not the built-in implementation behind its registry name,
+/// when simple_random is too large for 2^n enumeration, and for sgc,
+/// whose approximate decode makes E[T] the wrong ranking metric.
+CoverageResult coverage_profile(const core::Scheme& scheme);
 
 }  // namespace coupon::analytic

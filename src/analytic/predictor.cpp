@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
+#include "analytic/coverage.hpp"
 #include "analytic/dist.hpp"
 #include "analytic/order_stats.hpp"
-#include "analytic/scheme_model.hpp"
-#include "util/assert.hpp"
 
 namespace coupon::analytic {
 
@@ -19,6 +18,10 @@ constexpr double kSliceFloor = 1e-14;
 /// Ready-at-k weights below this are skipped in per-k quadrature and CDF
 /// sums (same error argument).
 constexpr double kReadyFloor = 1e-12;
+/// Drop-count slices below this probability are skipped inside the
+/// quantile bisection only (bias bounded by the skipped mass; means and
+/// failure probabilities always use the full expansion).
+constexpr double kQuantileSliceFloor = 1e-6;
 
 /// Binomial(n, p) pmf by the ratio recurrence from the heavier end (see
 /// order_stats.cpp for the underflow argument).
@@ -117,10 +120,10 @@ double slice_mean(const Slice& slice, const ComputeDist& dist, double service,
 /// P(T <= x) over the retained slices (plus the R = 0 atom at zero).
 double mixture_cdf(const std::vector<Slice>& slices, double zero_weight,
                    const ComputeDist& dist, double service, double broadcast,
-                   double weight_floor, double x) {
+                   double x) {
   double p = x >= 0.0 ? zero_weight : 0.0;
   for (const Slice& slice : slices) {
-    if (slice.weight < weight_floor) {
+    if (slice.weight < kQuantileSliceFloor) {
       continue;
     }
     double inner = 0.0;
@@ -138,8 +141,7 @@ double mixture_cdf(const std::vector<Slice>& slices, double zero_weight,
 
 double mixture_quantile(const std::vector<Slice>& slices, double zero_weight,
                         const ComputeDist& dist, double service,
-                        double broadcast, double weight_floor,
-                        std::size_t num_workers, double q) {
+                        double broadcast, std::size_t num_workers, double q) {
   if (zero_weight >= q) {
     return 0.0;
   }
@@ -149,8 +151,8 @@ double mixture_quantile(const std::vector<Slice>& slices, double zero_weight,
               dist.upper_bracket(1e-12);
   while ((hi - lo) > 1e-10 * std::max(1.0, hi)) {
     const double mid = 0.5 * (lo + hi);
-    if (mixture_cdf(slices, zero_weight, dist, service, broadcast,
-                    weight_floor, mid) >= q) {
+    if (mixture_cdf(slices, zero_weight, dist, service, broadcast, mid) >=
+        q) {
       hi = mid;
     } else {
       lo = mid;
@@ -159,49 +161,18 @@ double mixture_quantile(const std::vector<Slice>& slices, double zero_weight,
   return 0.5 * (lo + hi);
 }
 
-void fill_quantiles(Prediction* prediction, const std::vector<Slice>& slices,
-                    double zero_weight, const ComputeDist& dist,
-                    double service, double broadcast, double weight_floor,
-                    std::size_t num_workers) {
-  prediction->p50 = mixture_quantile(slices, zero_weight, dist, service,
-                                     broadcast, weight_floor, num_workers,
-                                     0.50);
-  prediction->p95 = mixture_quantile(slices, zero_weight, dist, service,
-                                     broadcast, weight_floor, num_workers,
-                                     0.95);
-  prediction->p99 = mixture_quantile(slices, zero_weight, dist, service,
-                                     broadcast, weight_floor, num_workers,
-                                     0.99);
-  prediction->has_quantiles = true;
-}
+}  // namespace
 
-/// Everything needed to evaluate one (scheme, cluster) pair; split from
-/// `predict` so `Predictor::rank` can defer quantile work.
-struct Evaluation {
-  Prediction prediction;
-  std::vector<Slice> slices;
-  double zero_weight = 0.0;
-  ComputeDist dist = ComputeDist::shifted_exp_mixture({{1.0, 0.0, 1.0}});
-  double service = 0.0;
-  double broadcast = 0.0;
-};
-
-std::optional<Evaluation> evaluate(const core::Scheme& scheme,
-                                   const simulate::ClusterConfig& cluster,
-                                   std::string* reason) {
+std::optional<Prediction> predict(const core::Scheme& scheme,
+                                  const simulate::ClusterConfig& cluster,
+                                  const PredictOptions& options,
+                                  std::string* reason) {
   const auto set_reason = [&](std::string why) {
     if (reason != nullptr) {
       *reason = std::move(why);
     }
   };
-  const SchemeRuntimeModel* model =
-      AnalyticModelRegistry::instance().find(scheme.registry_name());
-  if (model == nullptr) {
-    set_reason("no analytic model registered for scheme '" +
-               std::string(scheme.registry_name()) + "'");
-    return std::nullopt;
-  }
-  SchemeModelResult reduced = model->coverage_profile(scheme);
+  CoverageResult reduced = coverage_profile(scheme);
   if (!reduced.profile.has_value()) {
     set_reason(std::move(reduced.reason));
     return std::nullopt;
@@ -212,27 +183,26 @@ std::optional<Evaluation> evaluate(const core::Scheme& scheme,
       simulate::make_latency_model(cluster, n)->law();
   const std::size_t load = scheme.placement().worker(0).size();
   std::string law_reason;
-  std::optional<ComputeDist> dist = ComputeDist::from_law(
+  const std::optional<ComputeDist> dist = ComputeDist::from_law(
       law, static_cast<double>(load), &law_reason);
   if (!dist.has_value()) {
     set_reason(std::move(law_reason));
     return std::nullopt;
   }
 
-  Evaluation eval;
-  eval.dist = *dist;
-  eval.service =
+  const double service =
       reduced.profile->message_units * cluster.unit_transfer_seconds;
-  eval.broadcast = cluster.broadcast_seconds;
-  eval.slices = make_slices(reduced.profile->table, n,
-                            cluster.drop_probability, &eval.zero_weight);
+  const double broadcast = cluster.broadcast_seconds;
+  double zero_weight = 0.0;
+  const std::vector<Slice> slices = make_slices(
+      reduced.profile->table, n, cluster.drop_probability, &zero_weight);
 
-  Prediction& p = eval.prediction;
+  Prediction p;
   p.scheme = std::string(scheme.registry_name());
   p.load = load;
   p.message_units = reduced.profile->message_units;
-  p.failure_probability = eval.zero_weight;
-  for (const Slice& slice : eval.slices) {
+  p.failure_probability = zero_weight;
+  for (const Slice& slice : slices) {
     p.failure_probability += slice.weight * slice.fail;
     double expected_stop = 0.0;
     for (std::size_t k = 1; k <= slice.present; ++k) {
@@ -240,96 +210,20 @@ std::optional<Evaluation> evaluate(const core::Scheme& scheme,
     }
     p.expected_workers += slice.weight * expected_stop;
     p.expected_time +=
-        slice.weight *
-        slice_mean(slice, eval.dist, eval.service, eval.broadcast);
+        slice.weight * slice_mean(slice, *dist, service, broadcast);
   }
   p.expected_units = p.expected_workers * p.message_units;
-  return eval;
-}
-
-}  // namespace
-
-std::optional<Prediction> predict(const core::Scheme& scheme,
-                                  const simulate::ClusterConfig& cluster,
-                                  const PredictOptions& options,
-                                  std::string* reason) {
-  std::optional<Evaluation> eval = evaluate(scheme, cluster, reason);
-  if (!eval.has_value()) {
-    return std::nullopt;
-  }
   if (options.quantiles) {
-    fill_quantiles(&eval->prediction, eval->slices, eval->zero_weight,
-                   eval->dist, eval->service, eval->broadcast,
-                   options.quantile_weight_floor, scheme.num_workers());
+    const auto quantile = [&](double q) {
+      return mixture_quantile(slices, zero_weight, *dist, service, broadcast,
+                              n, q);
+    };
+    p.p50 = quantile(0.50);
+    p.p95 = quantile(0.95);
+    p.p99 = quantile(0.99);
+    p.has_quantiles = true;
   }
-  return eval->prediction;
-}
-
-std::vector<Prediction> Predictor::rank(
-    const std::vector<CandidateSpec>& candidates,
-    const PredictOptions& options, std::size_t quantile_top,
-    std::vector<UnsupportedCandidate>* unsupported) const {
-  COUPON_ASSERT(factory_ != nullptr);
-  struct Entry {
-    Evaluation eval;
-    std::size_t num_workers = 0;
-    std::size_t order = 0;
-  };
-  std::vector<Entry> entries;
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    const CandidateSpec& spec = candidates[i];
-    std::string reason;
-    std::unique_ptr<core::Scheme> scheme = factory_(spec, &reason);
-    if (scheme == nullptr) {
-      if (unsupported != nullptr) {
-        if (reason.empty()) {
-          reason = "scheme factory declined the candidate";
-        }
-        unsupported->push_back({spec, std::move(reason)});
-      }
-      continue;
-    }
-    std::optional<Evaluation> eval = evaluate(*scheme, cluster_, &reason);
-    if (!eval.has_value()) {
-      if (unsupported != nullptr) {
-        unsupported->push_back({spec, std::move(reason)});
-      }
-      continue;
-    }
-    // Candidates can collapse to the same realized cell (uncoded's load
-    // is m/n whatever r was asked for): keep the first occurrence only.
-    const bool duplicate = std::any_of(
-        entries.begin(), entries.end(), [&](const Entry& entry) {
-          return entry.eval.prediction.scheme == eval->prediction.scheme &&
-                 entry.eval.prediction.load == eval->prediction.load;
-        });
-    if (duplicate) {
-      continue;
-    }
-    entries.push_back({std::move(*eval), scheme->num_workers(), i});
-  }
-  std::stable_sort(entries.begin(), entries.end(),
-                   [](const Entry& a, const Entry& b) {
-                     if (a.eval.prediction.expected_time !=
-                         b.eval.prediction.expected_time) {
-                       return a.eval.prediction.expected_time <
-                              b.eval.prediction.expected_time;
-                     }
-                     return a.order < b.order;
-                   });
-  std::vector<Prediction> ranked;
-  ranked.reserve(entries.size());
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    Entry& entry = entries[i];
-    if (options.quantiles && (quantile_top == 0 || i < quantile_top)) {
-      fill_quantiles(&entry.eval.prediction, entry.eval.slices,
-                     entry.eval.zero_weight, entry.eval.dist,
-                     entry.eval.service, entry.eval.broadcast,
-                     options.quantile_weight_floor, entry.num_workers);
-    }
-    ranked.push_back(std::move(entry.eval.prediction));
-  }
-  return ranked;
+  return p;
 }
 
 }  // namespace coupon::analytic

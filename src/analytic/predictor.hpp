@@ -2,14 +2,14 @@
 
 /// \file predictor.hpp
 /// The analytic oracle's front end (DESIGN.md §10): exact per-iteration
-/// predictions for a realized scheme on a described cluster, and a
-/// ranking over candidate (scheme, load) pairs — the instant auto-tuner
-/// behind `coupon_run --predict` and `--scheme auto`.
+/// predictions for a realized scheme on a described cluster — the
+/// instant auto-tuner behind `coupon_run --predict` and `--scheme auto`
+/// (driver/predict.hpp ranks candidates with it).
 ///
 /// `predict` composes the three lower layers with zero simulation:
 ///
-///   1. scheme_model.hpp reduces the realized placement to a coverage
-///      profile A[j] and the common message size;
+///   1. `coverage_profile` (coverage.hpp) reduces the realized placement
+///      to a coverage profile A[j] and the common message size;
 ///   2. dist.hpp reduces the cluster's latency law at the scheme's load
 ///      to an exact compute-time distribution;
 ///   3. order_stats.hpp supplies the law of the k-th ingress completion.
@@ -28,12 +28,8 @@
 /// bitwise-identical doubles, and nothing under src/analytic/ links RNG.
 
 #include <cstddef>
-#include <functional>
-#include <memory>
 #include <optional>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "core/scheme.hpp"
 #include "simulate/cluster_config.hpp"
@@ -55,15 +51,11 @@ struct Prediction {
   double p99 = 0.0;
 };
 
-/// Knobs for `predict` / `Predictor::rank`.
+/// Knobs for `predict`.
 struct PredictOptions {
   /// Compute p50/p95/p99 of T (bisection over the exact CDF — the
   /// costliest part at n = 100; E[T] alone is much cheaper).
   bool quantiles = true;
-  /// Drop-count slices below this probability are skipped inside the
-  /// quantile bisection only (bias bounded by the skipped mass; means
-  /// and failure probabilities always use the full expansion).
-  double quantile_weight_floor = 1e-6;
 };
 
 /// Predicts per-iteration metrics for the realized `scheme` on
@@ -75,49 +67,5 @@ std::optional<Prediction> predict(const core::Scheme& scheme,
                                   const simulate::ClusterConfig& cluster,
                                   const PredictOptions& options = {},
                                   std::string* reason = nullptr);
-
-/// One auto-tuner candidate.
-struct CandidateSpec {
-  std::string scheme;  ///< registry name
-  std::size_t load = 0;
-};
-
-/// A candidate the oracle could not evaluate, and why.
-struct UnsupportedCandidate {
-  CandidateSpec spec;
-  std::string reason;
-};
-
-/// Ranks candidate (scheme, load) pairs by predicted E[T].
-///
-/// The caller supplies the scheme factory so that this layer stays free
-/// of RNG: the driver bridge builds each candidate with exactly the
-/// seeding discipline `simulate_run` uses, making the oracle condition
-/// on the same realized placements the simulator would draw. A factory
-/// may return nullptr (with `reason` set) for structurally invalid
-/// combinations (e.g. fr when r does not divide n).
-class Predictor {
- public:
-  using SchemeFactory = std::function<std::unique_ptr<core::Scheme>(
-      const CandidateSpec& spec, std::string* reason)>;
-
-  Predictor(simulate::ClusterConfig cluster, SchemeFactory factory)
-      : cluster_(std::move(cluster)), factory_(std::move(factory)) {}
-
-  /// Predicts every candidate and returns the supported ones sorted by
-  /// ascending E[T] (ties broken by candidate order). Quantiles are
-  /// computed only for the best `quantile_top` entries when it is
-  /// nonzero (0 = all), since tail bisection dominates the cost at
-  /// paper-scale n. Unsupported candidates are appended to
-  /// `unsupported` with their reasons when it is non-null.
-  std::vector<Prediction> rank(
-      const std::vector<CandidateSpec>& candidates,
-      const PredictOptions& options = {}, std::size_t quantile_top = 0,
-      std::vector<UnsupportedCandidate>* unsupported = nullptr) const;
-
- private:
-  simulate::ClusterConfig cluster_;
-  SchemeFactory factory_;
-};
 
 }  // namespace coupon::analytic

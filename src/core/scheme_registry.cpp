@@ -1,7 +1,6 @@
 #include "core/scheme_registry.hpp"
 
 #include <stdexcept>
-#include <utility>
 
 #include "core/bcc.hpp"
 #include "core/cyclic_repetition.hpp"
@@ -16,14 +15,15 @@
 
 namespace coupon::core {
 
-SchemeRegistry& SchemeRegistry::instance() {
-  static SchemeRegistry registry;
+const SchemeRegistry& SchemeRegistry::instance() {
+  static const SchemeRegistry registry;
   return registry;
 }
 
-SchemeRegistry::SchemeRegistry() {
-  // Built-ins, in the presentation order the CLI help has always used.
-  add({.name = "uncoded",
+// Built-ins, in the presentation order the CLI help has always used.
+SchemeRegistry::SchemeRegistry()
+    : entries_{
+      {.name = "uncoded",
        .aliases = {},
        .description =
            "every worker computes all m units; master waits for anyone "
@@ -31,8 +31,8 @@ SchemeRegistry::SchemeRegistry() {
        .caps = {.supports_partial_decode = true},
        .factory = [](const SchemeConfig& c, stats::Rng&) {
          return std::make_unique<UncodedScheme>(c.num_workers, c.num_units);
-       }});
-  add({.name = "fr",
+       }},
+      {.name = "fr",
        .aliases = {"fractional_repetition"},
        .description =
            "fractional repetition (Tandon et al.): n/r disjoint blocks of "
@@ -45,8 +45,8 @@ SchemeRegistry::SchemeRegistry() {
                            "FR requires m == n (use super-examples)");
          return std::make_unique<FractionalRepetitionScheme>(c.num_workers,
                                                              c.load);
-       }});
-  add({.name = "cr",
+       }},
+      {.name = "cr",
        .aliases = {"cyclic_repetition"},
        .description =
            "cyclic repetition (Tandon et al.): MDS-coded cyclic placement, "
@@ -57,8 +57,8 @@ SchemeRegistry::SchemeRegistry() {
                            "CR requires m == n (use super-examples)");
          return std::make_unique<CyclicRepetitionScheme>(c.num_workers, c.load,
                                                          rng);
-       }});
-  add({.name = "bcc",
+       }},
+      {.name = "bcc",
        .aliases = {"batched_coupon_collection"},
        .description =
            "batched coupon collection (this paper): random batch per "
@@ -67,8 +67,8 @@ SchemeRegistry::SchemeRegistry() {
        .factory = [](const SchemeConfig& c, stats::Rng& rng) {
          return std::make_unique<BccScheme>(c.num_workers, c.num_units, c.load,
                                             c.bcc_seed_first_batches, rng);
-       }});
-  add({.name = "simple_random",
+       }},
+      {.name = "simple_random",
        .aliases = {"srs"},
        .description =
            "simple randomized: r units drawn uniformly per worker, "
@@ -77,8 +77,8 @@ SchemeRegistry::SchemeRegistry() {
        .factory = [](const SchemeConfig& c, stats::Rng& rng) {
          return std::make_unique<SimpleRandomScheme>(c.num_workers,
                                                      c.num_units, c.load, rng);
-       }});
-  add({.name = "gc_cyclic",
+       }},
+      {.name = "gc_cyclic",
        .aliases = {"gradient_coding", "gc"},
        .description =
            "exact gradient coding (Tandon et al. 1612.03301): systematic "
@@ -90,8 +90,8 @@ SchemeRegistry::SchemeRegistry() {
          COUPON_ASSERT_MSG(c.num_units == c.num_workers,
                            "gc_cyclic requires m == n (use super-examples)");
          return std::make_unique<GcCyclicScheme>(c.num_workers, c.load);
-       }});
-  add({.name = "sgc",
+       }},
+      {.name = "sgc",
        .aliases = {"stochastic_gradient_coding"},
        .description =
            "stochastic gradient coding (Bitar et al. 1905.05383): balanced "
@@ -104,8 +104,8 @@ SchemeRegistry::SchemeRegistry() {
          COUPON_ASSERT_MSG(c.num_units == c.num_workers,
                            "sgc requires m == n (use super-examples)");
          return std::make_unique<SgcScheme>(c.num_workers, c.load, rng);
-       }});
-  add({.name = "gc_nested",
+       }},
+      {.name = "gc_nested",
        .aliases = {"nested_gradient_coding"},
        .description =
            "nested gradient codes (2212.08580): divisor ladder of window "
@@ -119,29 +119,7 @@ SchemeRegistry::SchemeRegistry() {
          COUPON_ASSERT_MSG(c.num_workers % c.load == 0,
                            "gc_nested requires r | n");
          return std::make_unique<GcNestedScheme>(c.num_workers, c.load);
-       }});
-}
-
-void SchemeRegistry::add(SchemeEntry entry) {
-  if (entry.name.empty()) {
-    throw std::invalid_argument("scheme registration requires a name");
-  }
-  if (!entry.factory) {
-    throw std::invalid_argument("scheme '" + entry.name +
-                                "' registered without a factory");
-  }
-  auto taken = [this](const std::string& spelling) {
-    if (find(spelling) != nullptr) {
-      throw std::invalid_argument("scheme name '" + spelling +
-                                  "' is already registered");
-    }
-  };
-  taken(entry.name);
-  for (const auto& alias : entry.aliases) {
-    taken(alias);
-  }
-  entries_.push_back(std::move(entry));
-}
+       }}} {}
 
 const SchemeEntry* SchemeRegistry::find(
     std::string_view name_or_alias) const {

@@ -1,20 +1,14 @@
 #pragma once
 
 /// \file scheme_registry.hpp
-/// Open registry of gradient-coding schemes (DESIGN.md §3).
+/// The fixed table of gradient-coding schemes (DESIGN.md §3).
 ///
-/// A scheme is published under a canonical CLI name plus optional aliases,
-/// together with a factory and capability flags. The driver, benches, and
-/// tools select schemes by name through this registry, so adding a scheme
-/// is one `SchemeRegistration` call in the new scheme's translation unit —
-/// no enum, switch, or name-table edits. (The legacy closed `SchemeKind`
-/// enum and its `make_scheme` shim were removed; instances report their
-/// canonical name via `Scheme::registry_name()`.)
-///
-/// Registration discipline: register at static-initialization time (via
-/// `SchemeRegistration`) or during single-threaded startup, before
-/// experiments run. Lookups are const and may then be issued concurrently
-/// from sweep worker threads.
+/// Each built-in scheme is listed under a canonical CLI name plus
+/// optional aliases, together with a factory and capability flags. The
+/// driver, benches, and tools select schemes by name through this table;
+/// instances report their canonical name via `Scheme::registry_name()`.
+/// The table is built once, on first access, and is read-only after
+/// that, so lookups may be issued concurrently from sweep worker threads.
 
 #include <functional>
 #include <memory>
@@ -59,17 +53,12 @@ struct SchemeEntry {
       factory;
 };
 
-/// Process-wide name -> factory registry. The built-in schemes are
-/// registered on first access, in presentation order (uncoded, fr, cr,
-/// bcc, simple_random, gc_cyclic, sgc, gc_nested).
+/// Process-wide name -> factory table of the built-in schemes, in
+/// presentation order (uncoded, fr, cr, bcc, simple_random, gc_cyclic,
+/// sgc, gc_nested).
 class SchemeRegistry {
  public:
-  static SchemeRegistry& instance();
-
-  /// Registers `entry`. Throws std::invalid_argument when the name or any
-  /// alias collides with an existing name/alias, or when the entry has no
-  /// name or no factory.
-  void add(SchemeEntry entry);
+  static const SchemeRegistry& instance();
 
   /// Looks up a canonical name or alias; nullptr when unknown. The
   /// returned pointer stays valid for the process lifetime.
@@ -82,7 +71,7 @@ class SchemeRegistry {
                                  const SchemeConfig& config,
                                  stats::Rng& rng) const;
 
-  /// Canonical names in registration order.
+  /// Canonical names in presentation order.
   std::vector<std::string> names() const;
 
   /// "uncoded|fr|cr|bcc|simple_random|..." for --help strings.
@@ -92,18 +81,9 @@ class SchemeRegistry {
   std::string unknown_message(std::string_view name) const;
 
  private:
-  SchemeRegistry();  // registers the built-ins
+  SchemeRegistry();  // lists the built-ins
 
-  std::vector<SchemeEntry> entries_;  // stable: entries are never removed
-};
-
-/// Self-registration helper: a namespace-scope
-///   static const core::SchemeRegistration my_scheme{{.name = ...}};
-/// in the scheme's translation unit publishes it before main() runs.
-struct SchemeRegistration {
-  explicit SchemeRegistration(SchemeEntry entry) {
-    SchemeRegistry::instance().add(std::move(entry));
-  }
+  std::vector<SchemeEntry> entries_;
 };
 
 }  // namespace coupon::core

@@ -1,11 +1,13 @@
 #include "driver/predict.hpp"
 
+#include <algorithm>
 #include <exception>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
-#include "analytic/scheme_model.hpp"
+#include "analytic/coverage.hpp"
 #include "core/scheme_registry.hpp"
 #include "driver/scenario_registry.hpp"
 #include "stats/rng.hpp"
@@ -31,9 +33,9 @@ simulate::ClusterConfig resolve_cluster(const ExperimentConfig& config) {
 
 /// Builds one candidate with the timing-run seeding discipline (see the
 /// header): same seed => same realized placement as `simulate_run`.
-std::unique_ptr<core::Scheme> build_candidate(
-    const ExperimentConfig& config, const analytic::CandidateSpec& spec,
-    std::string* reason) {
+std::unique_ptr<core::Scheme> build_candidate(const ExperimentConfig& config,
+                                              const CandidateSpec& spec,
+                                              std::string* reason) {
   core::SchemeConfig sconf;
   sconf.num_workers = config.num_workers;
   sconf.num_units = config.num_units;
@@ -50,21 +52,28 @@ std::unique_ptr<core::Scheme> build_candidate(
   }
 }
 
+/// The names in `analytic::kModeledSchemes`, in its order.
+std::vector<std::string> modeled_scheme_names() {
+  std::vector<std::string> names;
+  for (const analytic::ModeledScheme& modeled : analytic::kModeledSchemes) {
+    names.emplace_back(modeled.name);
+  }
+  return names;
+}
+
 }  // namespace
 
-std::vector<analytic::CandidateSpec> predict_candidates(
+std::vector<CandidateSpec> predict_candidates(
     const ExperimentConfig& config, const std::vector<std::size_t>& loads) {
-  std::vector<std::string> schemes;
-  if (config.scheme == "auto" || config.scheme == "all") {
-    schemes = analytic::AnalyticModelRegistry::instance().names();
-  } else {
-    schemes.push_back(config.scheme);
-  }
+  const std::vector<std::string> schemes =
+      config.scheme == "auto" || config.scheme == "all"
+          ? modeled_scheme_names()
+          : std::vector<std::string>{config.scheme};
   std::vector<std::size_t> axis = loads;
   if (axis.empty()) {
     axis.push_back(config.load);
   }
-  std::vector<analytic::CandidateSpec> candidates;
+  std::vector<CandidateSpec> candidates;
   candidates.reserve(schemes.size() * axis.size());
   for (const std::string& scheme : schemes) {
     for (std::size_t load : axis) {
@@ -74,29 +83,55 @@ std::vector<analytic::CandidateSpec> predict_candidates(
   return candidates;
 }
 
-PredictReport predict_report(
-    const ExperimentConfig& config,
-    const std::vector<analytic::CandidateSpec>& candidates, bool quantiles,
-    std::size_t quantile_top) {
+PredictReport predict_report(const ExperimentConfig& config,
+                             const std::vector<CandidateSpec>& candidates,
+                             bool quantiles, std::size_t quantile_top) {
   const simulate::ClusterConfig cluster = resolve_cluster(config);
-  const analytic::Predictor predictor(
-      cluster, [&config](const analytic::CandidateSpec& spec,
-                         std::string* reason) {
-        return build_candidate(config, spec, reason);
-      });
-  analytic::PredictOptions options;
-  options.quantiles = quantiles;
+  struct Entry {
+    std::unique_ptr<core::Scheme> scheme;
+    analytic::Prediction prediction;
+  };
+  std::vector<Entry> entries;
   PredictReport report;
-  report.ranked = predictor.rank(candidates, options, quantile_top,
-                                 &report.unsupported);
+  for (const CandidateSpec& spec : candidates) {
+    std::string reason;
+    std::unique_ptr<core::Scheme> scheme =
+        build_candidate(config, spec, &reason);
+    std::optional<analytic::Prediction> prediction;
+    if (scheme != nullptr) {
+      prediction =
+          analytic::predict(*scheme, cluster, {.quantiles = false}, &reason);
+    }
+    if (!prediction.has_value()) {
+      report.unsupported.push_back({spec, std::move(reason)});
+      continue;
+    }
+    const bool duplicate =
+        std::ranges::any_of(entries, [&](const Entry& entry) {
+          return entry.prediction.scheme == prediction->scheme &&
+                 entry.prediction.load == prediction->load;
+        });
+    if (!duplicate) {
+      entries.push_back({std::move(scheme), std::move(*prediction)});
+    }
+  }
+  // Entries are in candidate order, so a stable sort breaks E[T] ties by it.
+  std::ranges::stable_sort(entries, {}, [](const Entry& entry) {
+    return entry.prediction.expected_time;
+  });
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    if (quantiles && (quantile_top == 0 || i < quantile_top)) {
+      // predict is deterministic: the rerun repeats the means bit for bit.
+      entries[i].prediction = *analytic::predict(*entries[i].scheme, cluster);
+    }
+    report.ranked.push_back(std::move(entries[i].prediction));
+  }
 
   // A scheme name with no analytic model gets the registry's
   // did-you-mean treatment against the covered schemes.
-  const std::vector<std::string> covered =
-      analytic::AnalyticModelRegistry::instance().names();
-  for (analytic::UnsupportedCandidate& entry : report.unsupported) {
-    if (analytic::AnalyticModelRegistry::instance().find(entry.spec.scheme) !=
-        nullptr) {
+  const std::vector<std::string> covered = modeled_scheme_names();
+  for (UnsupportedCandidate& entry : report.unsupported) {
+    if (analytic::is_modeled_scheme(entry.spec.scheme)) {
       continue;
     }
     if (core::SchemeRegistry::instance().find(entry.spec.scheme) != nullptr) {
@@ -111,15 +146,13 @@ PredictReport predict_report(
 
 std::optional<analytic::Prediction> predict_cell(
     const ExperimentConfig& config, std::string* reason) {
-  const analytic::CandidateSpec spec{config.scheme, config.load};
   std::unique_ptr<core::Scheme> scheme =
-      build_candidate(config, spec, reason);
+      build_candidate(config, {config.scheme, config.load}, reason);
   if (scheme == nullptr) {
     return std::nullopt;
   }
-  analytic::PredictOptions options;
-  options.quantiles = false;
-  return analytic::predict(*scheme, resolve_cluster(config), options, reason);
+  return analytic::predict(*scheme, resolve_cluster(config),
+                           {.quantiles = false}, reason);
 }
 
 std::string render_predict_report(const PredictReport& report) {
@@ -141,7 +174,7 @@ std::string render_predict_report(const PredictReport& report) {
   out << table.render();
   if (!report.unsupported.empty()) {
     out << "not predictable:\n";
-    for (const analytic::UnsupportedCandidate& entry : report.unsupported) {
+    for (const UnsupportedCandidate& entry : report.unsupported) {
       out << "  " << entry.spec.scheme << " r=" << entry.spec.load << ": "
           << entry.reason << "\n";
     }
@@ -185,17 +218,15 @@ AsciiTable measured_vs_predicted_table(const ExperimentConfig& base,
 std::string resolve_auto_scheme(const ExperimentConfig& config) {
   ExperimentConfig all = config;
   all.scheme = "all";
-  const std::vector<analytic::CandidateSpec> candidates =
-      predict_candidates(all, {});
   const PredictReport report =
-      predict_report(all, candidates, /*quantiles=*/false);
+      predict_report(all, predict_candidates(all, {}), /*quantiles=*/false);
   if (report.ranked.empty()) {
     std::ostringstream out;
     out << "--scheme auto: the analytic oracle supports no scheme for "
            "scenario '"
         << config.scenario << "' at n=" << config.num_workers
         << " m=" << config.num_units << " r=" << config.load << ":";
-    for (const analytic::UnsupportedCandidate& entry : report.unsupported) {
+    for (const UnsupportedCandidate& entry : report.unsupported) {
       out << "\n  " << entry.spec.scheme << ": " << entry.reason;
     }
     throw std::invalid_argument(out.str());

@@ -27,6 +27,18 @@
 
 namespace coupon::driver {
 
+/// One auto-tuner candidate.
+struct CandidateSpec {
+  std::string scheme;  ///< registry name
+  std::size_t load = 0;
+};
+
+/// A candidate the oracle could not evaluate, and why.
+struct UnsupportedCandidate {
+  CandidateSpec spec;
+  std::string reason;
+};
+
 /// Oracle output for one --predict invocation.
 struct PredictReport {
   /// Supported candidates, best (smallest E[T]) first.
@@ -34,23 +46,25 @@ struct PredictReport {
   /// Candidates the oracle declined, with reasons (and, where a typo is
   /// plausible, a did-you-mean suggestion among analytically-covered
   /// schemes).
-  std::vector<analytic::UnsupportedCandidate> unsupported;
+  std::vector<UnsupportedCandidate> unsupported;
 };
 
 /// The candidate list for `config`: `loads` when non-empty (a --loads
 /// axis sweep), else the config's single load; crossed with either the
-/// config's scheme or — when it is "auto" or "all" — every scheme with
-/// an analytic model.
-std::vector<analytic::CandidateSpec> predict_candidates(
+/// config's scheme or — when it is "auto" or "all" — every scheme in
+/// `analytic::kModeledSchemes`.
+std::vector<CandidateSpec> predict_candidates(
     const ExperimentConfig& config, const std::vector<std::size_t>& loads);
 
-/// Ranks `candidates` on the config's scenario cluster. Quantiles are
-/// computed for the best `quantile_top` rows (0 = all) when `quantiles`
-/// is set. Throws
+/// Ranks `candidates` on the config's scenario cluster by predicted E[T]
+/// (ties broken by candidate order). Candidates that collapse to the
+/// same realized (scheme, load) keep the first occurrence only (uncoded's
+/// load is m/n whatever r was asked for). Quantiles are computed for the
+/// best `quantile_top` rows (0 = all) when `quantiles` is set, since tail
+/// bisection dominates the cost at paper-scale n. Throws
 /// std::invalid_argument on an unknown scenario or a live-only one.
 PredictReport predict_report(const ExperimentConfig& config,
-                             const std::vector<analytic::CandidateSpec>&
-                                 candidates,
+                             const std::vector<CandidateSpec>& candidates,
                              bool quantiles = true,
                              std::size_t quantile_top = 3);
 

@@ -291,10 +291,4 @@ std::unique_ptr<Runtime> make_runtime(std::string_view name) {
   return RuntimeRegistry::instance().create(name);
 }
 
-const std::vector<std::string>& runtime_names() {
-  static const std::vector<std::string> names =
-      RuntimeRegistry::instance().names();
-  return names;
-}
-
 }  // namespace coupon::driver

@@ -7,10 +7,9 @@
 /// `RunRecord`. The three implementations are the discrete-event
 /// simulator (`SimulatedRuntime`, no gradients computed), the real-thread
 /// training cluster (`ThreadedRuntime`), and the multi-process socket
-/// cluster (`ProcessRuntime`). Runtimes are published through
-/// `RuntimeRegistry` (runtime_registry.hpp) with capability flags; a new
-/// backend is one more subclass plus a `RuntimeRegistration` — callers
-/// never branch on a runtime enum or name.
+/// cluster (`ProcessRuntime`). Runtimes are listed in `RuntimeRegistry`
+/// (runtime_registry.hpp) with capability flags, so callers never branch
+/// on a runtime enum or name.
 
 #include <memory>
 #include <string>
@@ -67,8 +66,5 @@ class ProcessRuntime final : public Runtime {
 /// "simulate", "threaded"/"thread"/"threads", "process"/"processes"/
 /// "proc"); nullptr for an unknown name.
 std::unique_ptr<Runtime> make_runtime(std::string_view name);
-
-/// Canonical runtime names, in presentation order.
-const std::vector<std::string>& runtime_names();
 
 }  // namespace coupon::driver

@@ -1,63 +1,41 @@
 #include "driver/runtime_registry.hpp"
 
 #include <stdexcept>
-#include <utility>
 
 #include "driver/scenario_registry.hpp"
 #include "util/names.hpp"
 
 namespace coupon::driver {
 
-RuntimeRegistry& RuntimeRegistry::instance() {
-  static RuntimeRegistry registry;
+const RuntimeRegistry& RuntimeRegistry::instance() {
+  static const RuntimeRegistry registry;
   return registry;
 }
 
-RuntimeRegistry::RuntimeRegistry() {
-  // Built-ins, in the presentation order the CLI help has always used.
-  add({.name = "sim",
+// Built-ins, in the presentation order the CLI help has always used.
+RuntimeRegistry::RuntimeRegistry()
+    : entries_{
+      {.name = "sim",
        .aliases = {"simulated", "simulate"},
        .description =
            "discrete-event cluster model: per-iteration latency traces, "
            "no gradients computed",
        .caps = {.simulated_clock = true},
-       .factory = [] { return std::make_unique<SimulatedRuntime>(); }});
-  add({.name = "threaded",
+       .factory = [] { return std::make_unique<SimulatedRuntime>(); }},
+      {.name = "threaded",
        .aliases = {"thread", "threads"},
        .description =
            "real master/worker threads training synthetic logistic "
            "regression over an in-process network",
        .caps = {},
-       .factory = [] { return std::make_unique<ThreadedRuntime>(); }});
-  add({.name = "process",
+       .factory = [] { return std::make_unique<ThreadedRuntime>(); }},
+      {.name = "process",
        .aliases = {"processes", "proc"},
        .description =
            "worker OS processes over framed stream sockets: real crash "
            "tolerance (SIGKILL -> EOF -> FailurePolicy), same protocol",
        .caps = {.spawns_processes = true},
-       .factory = [] { return std::make_unique<ProcessRuntime>(); }});
-}
-
-void RuntimeRegistry::add(RuntimeEntry entry) {
-  if (entry.name.empty()) {
-    throw std::invalid_argument("runtime registration requires a name");
-  }
-  if (!entry.factory) {
-    throw std::invalid_argument("runtime '" + entry.name +
-                                "' registered without a factory");
-  }
-  auto taken = [this](const std::string& spelling) {
-    if (find(spelling) != nullptr) {
-      throw std::invalid_argument("runtime name '" + spelling +
-                                  "' is already registered");
-    }
-  };
-  taken(entry.name);
-  for (const auto& alias : entry.aliases) {
-    taken(alias);
-  }
-  entries_.push_back(std::move(entry));
-}
+       .factory = [] { return std::make_unique<ProcessRuntime>(); }}} {}
 
 const RuntimeEntry* RuntimeRegistry::find(
     std::string_view name_or_alias) const {

@@ -1,22 +1,17 @@
 #pragma once
 
 /// \file runtime_registry.hpp
-/// Open registry of execution runtimes (DESIGN.md §9).
+/// The fixed table of execution runtimes (DESIGN.md §3, §9).
 ///
-/// A runtime is published under a canonical CLI name plus optional
-/// aliases, together with a factory and capability flags. The driver,
-/// sweep planner, and tools select runtimes by name through this
-/// registry, so adding an execution substrate is one
-/// `RuntimeRegistration` call in the new runtime's translation unit — no
-/// if/else ladder, enum, or name-table edits. The capability flags
-/// replace the `name() == "threaded"` string checks that used to gate
-/// sweep planning and config validation: callers ask what a runtime can
-/// do, not what it is called.
-///
-/// Registration discipline mirrors core::SchemeRegistry: register at
-/// static-initialization time (via `RuntimeRegistration`) or during
-/// single-threaded startup, before experiments run. Lookups are const
-/// and may then be issued concurrently from sweep worker threads.
+/// Each built-in runtime is listed under a canonical CLI name plus
+/// optional aliases, together with a factory and capability flags. The
+/// driver, sweep planner, and tools select runtimes by name through this
+/// table. The capability flags replace the `name() == "threaded"` string
+/// checks that used to gate sweep planning and config validation:
+/// callers ask what a runtime can do, not what it is called. Like
+/// core::SchemeRegistry, the table is built once, on first access, and is
+/// read-only after that, so lookups may be issued concurrently from sweep
+/// worker threads.
 
 #include <functional>
 #include <memory>
@@ -52,17 +47,11 @@ struct RuntimeEntry {
   std::function<std::unique_ptr<Runtime>()> factory;
 };
 
-/// Process-wide name -> factory registry. The three built-in runtimes
-/// are registered on first access, in presentation order
-/// (sim, threaded, process).
+/// Process-wide name -> factory table of the three built-in runtimes,
+/// in presentation order (sim, threaded, process).
 class RuntimeRegistry {
  public:
-  static RuntimeRegistry& instance();
-
-  /// Registers `entry`. Throws std::invalid_argument when the name or any
-  /// alias collides with an existing name/alias, or when the entry has no
-  /// name or no factory.
-  void add(RuntimeEntry entry);
+  static const RuntimeRegistry& instance();
 
   /// Looks up a canonical name or alias; nullptr when unknown. The
   /// returned pointer stays valid for the process lifetime.
@@ -73,7 +62,7 @@ class RuntimeRegistry {
   /// `unknown_message` themselves).
   std::unique_ptr<Runtime> create(std::string_view name_or_alias) const;
 
-  /// Canonical names in registration order.
+  /// Canonical names in presentation order.
   std::vector<std::string> names() const;
 
   /// "sim|threaded|process|..." for --help strings.
@@ -84,9 +73,9 @@ class RuntimeRegistry {
   std::string unknown_message(std::string_view name) const;
 
  private:
-  RuntimeRegistry();  // registers the built-ins
+  RuntimeRegistry();  // lists the built-ins
 
-  std::vector<RuntimeEntry> entries_;  // stable: entries are never removed
+  std::vector<RuntimeEntry> entries_;
 };
 
 /// The one runtime-compatibility check, called by `config_from_flags`,
@@ -101,14 +90,5 @@ class RuntimeRegistry {
 /// built.
 void check_runtime_accepts(const RuntimeEntry& runtime,
                            const ExperimentConfig& config);
-
-/// Self-registration helper: a namespace-scope
-///   static const driver::RuntimeRegistration my_runtime{{.name = ...}};
-/// in the runtime's translation unit publishes it before main() runs.
-struct RuntimeRegistration {
-  explicit RuntimeRegistration(RuntimeEntry entry) {
-    RuntimeRegistry::instance().add(std::move(entry));
-  }
-};
 
 }  // namespace coupon::driver

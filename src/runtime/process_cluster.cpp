@@ -223,7 +223,7 @@ ProcessTrainResult ProcessCluster::train(opt::IterativeOptimizer& optimizer,
   ProcessTrainResult result;
   {
     auto transport = comm::TcpTransport::master(std::move(fds));
-    TransportProvider provider(*transport, n,
+    TransportProvider provider(*transport, scheme_, source_.dim(),
                                {.worker_timeout = options.worker_timeout,
                                 .elasticity = options.elasticity});
     engine::TrainingEngine protocol(scheme_, source_, provider);

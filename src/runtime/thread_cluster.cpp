@@ -57,7 +57,7 @@ engine::TrainReport ThreadCluster::train(opt::IterativeOptimizer& optimizer,
   // no worker_timeout — in-process threads always reply.
   comm::InProcessTransport master(network_, kMasterRank);
   TransportProvider provider(
-      master, scheme_.num_workers(),
+      master, scheme_, source_.dim(),
       {.worker_timeout = std::chrono::milliseconds(0),
        .elasticity = options.elasticity});
   engine::TrainingEngine protocol(scheme_, source_, provider);

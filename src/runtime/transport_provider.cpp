@@ -1,6 +1,8 @@
 #include "runtime/transport_provider.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <span>
 #include <utility>
 
 #include "util/assert.hpp"
@@ -8,16 +10,26 @@
 namespace coupon::runtime {
 
 TransportProvider::TransportProvider(comm::Transport& master,
-                                     std::size_t num_workers,
-                                     Options options)
+                                     const core::Scheme& scheme,
+                                     std::size_t dim, Options options)
     : master_(master),
-      num_workers_(num_workers),
+      num_workers_(scheme.num_workers()),
       options_(std::move(options)),
-      alive_(num_workers, 1),
-      expected_(num_workers, 0),
-      replied_(num_workers, 0) {
+      alive_(num_workers_, 1),
+      expected_(num_workers_, 0),
+      replied_(num_workers_, 0) {
   COUPON_ASSERT(master.rank() == 0);
-  COUPON_ASSERT(master.num_ranks() == num_workers + 1);
+  COUPON_ASSERT(master.num_ranks() == num_workers_ + 1);
+  meta_offsets_.reserve(num_workers_ + 1);
+  meta_offsets_.push_back(0);
+  payload_size_.reserve(num_workers_);
+  for (std::size_t w = 0; w < num_workers_; ++w) {
+    const std::vector<std::int64_t> meta = scheme.message_meta(w);
+    meta_flat_.insert(meta_flat_.end(), meta.begin(), meta.end());
+    meta_offsets_.push_back(meta_flat_.size());
+    payload_size_.push_back(static_cast<std::size_t>(
+        std::lround(scheme.message_units(w) * static_cast<double>(dim))));
+  }
 }
 
 void TransportProvider::begin_iteration(std::size_t iteration,
@@ -59,6 +71,15 @@ void TransportProvider::mark_dead(std::size_t worker) {
   }
 }
 
+bool TransportProvider::fits_scheme(std::size_t worker,
+                                    const comm::Message& message) const {
+  const std::span<const std::int64_t> meta(
+      meta_flat_.data() + meta_offsets_[worker],
+      meta_offsets_[worker + 1] - meta_offsets_[worker]);
+  return message.payload.size() == payload_size_[worker] &&
+         std::ranges::equal(message.meta, meta);
+}
+
 bool TransportProvider::next_arrival(engine::ArrivalView& out) {
   while (outstanding_ > 0) {
     comm::RecvEvent event =
@@ -74,7 +95,8 @@ bool TransportProvider::next_arrival(engine::ArrivalView& out) {
           continue;  // no such worker, or one already given up on
         }
         if (event.message.tag != comm::kTagGradient ||
-            event.message.source != static_cast<std::int32_t>(event.peer)) {
+            event.message.source != static_cast<std::int32_t>(event.peer) ||
+            !fits_scheme(worker, event.message)) {
           mark_dead(worker);  // a worker that breaks protocol is lost
           continue;
         }

@@ -19,15 +19,20 @@
 ///  - Stale replies (iteration != current) are consumed and dropped, as
 ///    the threaded provider always did.
 ///  - A reply is keyed by the stream it arrived on (`RecvEvent::peer`).
-///    A frame that is not a gradient, or whose `source` names another
-///    rank than its stream, marks that worker dead like an EOF, and
-///    later frames from a dead worker are dropped.
+///    A frame that is not a gradient, whose `source` names another rank
+///    than its stream, or whose meta or payload length differs from what
+///    the scheme says that worker sends (`Scheme::message_meta`,
+///    `message_units` x dim) marks that worker dead like an EOF —
+///    whatever iteration it claims — and later frames from a dead worker
+///    are dropped. The collectors therefore only ever see well-formed
+///    messages.
 
 #include <chrono>
 #include <cstdint>
 #include <vector>
 
 #include "comm/transport.hpp"
+#include "core/scheme.hpp"
 #include "engine/training_engine.hpp"
 #include "runtime/elasticity.hpp"
 #include "util/timer.hpp"
@@ -48,8 +53,10 @@ class TransportProvider final : public engine::IterationProvider {
     ElasticityPlan elasticity;
   };
 
-  TransportProvider(comm::Transport& master, std::size_t num_workers,
-                    Options options);
+  /// Serves `scheme.num_workers()` workers whose gradients have `dim`
+  /// coordinates per unit.
+  TransportProvider(comm::Transport& master, const core::Scheme& scheme,
+                    std::size_t dim, Options options);
 
   void begin_iteration(std::size_t iteration,
                        std::span<const double> w) override;
@@ -78,12 +85,19 @@ class TransportProvider final : public engine::IterationProvider {
   /// reply.
   void mark_dead(std::size_t worker);
 
+  /// True when `message` carries the meta and payload length `worker`'s
+  /// encoder produces.
+  bool fits_scheme(std::size_t worker, const comm::Message& message) const;
+
   comm::Transport& master_;
   std::size_t num_workers_;
   Options options_;
   std::vector<char> alive_;     ///< not yet observed dead
   std::vector<char> expected_;  ///< broadcast to, this iteration
   std::vector<char> replied_;   ///< reply consumed, this iteration
+  std::vector<std::int64_t> meta_flat_;    ///< every worker's meta, in order
+  std::vector<std::size_t> meta_offsets_;  ///< n + 1 bounds into meta_flat_
+  std::vector<std::size_t> payload_size_;  ///< doubles per worker's payload
   std::int64_t iteration_ = 0;
   std::size_t outstanding_ = 0;  ///< expected and not yet replied
   std::size_t workers_lost_ = 0;

@@ -47,7 +47,7 @@ struct ClusterConfig {
 /// empty or exactly one valid entry per worker. Throws
 /// coupon::AssertionError with the offending knob and value instead of
 /// letting a bad config silently produce NaN or degenerate traces.
-/// Called by simulate_iteration/simulate_run on entry.
+/// Called by `make_latency_model`, so every simulation validates on entry.
 void validate_cluster_config(const ClusterConfig& config,
                              std::size_t num_workers);
 

@@ -246,21 +246,6 @@ IterationReport IterationKernel::run(LatencyModel& model,
   return report;
 }
 
-IterationReport simulate_iteration(const core::Scheme& scheme,
-                                   const ClusterConfig& config,
-                                   stats::Rng& rng) {
-  const auto model = make_latency_model(config, scheme.num_workers());
-  return simulate_iteration(scheme, config, *model, /*iteration=*/0, rng);
-}
-
-IterationReport simulate_iteration(const core::Scheme& scheme,
-                                   const ClusterConfig& config,
-                                   LatencyModel& model, std::size_t iteration,
-                                   stats::Rng& rng) {
-  IterationKernel kernel(scheme, config);
-  return kernel.run(model, iteration, rng);
-}
-
 RunReport simulate_run(const core::Scheme& scheme,
                        const ClusterConfig& config, const RunOptions& options,
                        stats::Rng& rng) {

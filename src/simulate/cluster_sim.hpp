@@ -194,25 +194,6 @@ class IterationKernel {
   std::size_t lazy_sorted_ = 0;    ///< sorted-prefix length this iteration
 };
 
-/// Simulates one iteration of distributed GD for `scheme` on a cluster
-/// described by `config`. Uses the scheme's combinatorial interface only
-/// (no gradients are computed). Builds a fresh latency model for the
-/// single iteration; multi-iteration runs must use `simulate_run` (or the
-/// model-threading overload below) so stateful models keep their state.
-IterationReport simulate_iteration(const core::Scheme& scheme,
-                                   const ClusterConfig& config,
-                                   stats::Rng& rng);
-
-/// As above, but samples compute times from the caller's `model` for GD
-/// iteration `iteration` (calls `model.begin_iteration` first). One-shot
-/// convenience over a throwaway `IterationKernel`; it assumes `config`
-/// was already validated (use `make_latency_model`, which validates, to
-/// obtain the model). Loops should hold their own kernel instead.
-IterationReport simulate_iteration(const core::Scheme& scheme,
-                                   const ClusterConfig& config,
-                                   LatencyModel& model, std::size_t iteration,
-                                   stats::Rng& rng);
-
 /// Simulates `options.iterations` iterations against one latency-model
 /// instance (independent draws for memoryless models; correlated across
 /// iterations for Markov/trace models) and one reused `IterationKernel`

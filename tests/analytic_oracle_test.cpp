@@ -21,15 +21,17 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analytic/coverage.hpp"
 #include "analytic/dist.hpp"
 #include "analytic/order_stats.hpp"
 #include "analytic/predictor.hpp"
-#include "analytic/scheme_model.hpp"
 #include "core/scheme_registry.hpp"
 #include "core/simple_random.hpp"
 #include "core/theory.hpp"
@@ -531,32 +533,63 @@ TEST(AnalyticDist, HeavyTailWithoutAMeanIsRefused) {
 
 // --- scheme-model validation corners ---------------------------------------
 
-TEST(AnalyticSchemeModel, WrongConcreteTypeIsDeclinedByEveryModel) {
-  // Each model dynamic_casts to the built-in implementation it knows how
-  // to reduce; an out-of-tree scheme squatting on a registered name must
-  // get a reason, not a bogus profile.
-  const auto& registry = coupon::analytic::AnalyticModelRegistry::instance();
-  const auto cr = make_scheme("cr", 6, 6, 2, 3);
-  const auto uncoded = make_scheme("uncoded", 6, 6, 2, 3);
-  for (const auto& name : registry.names()) {
-    const auto* model = registry.find(name);
-    ASSERT_NE(model, nullptr) << name;
-    const coupon::core::Scheme& impostor = (name == "cr") ? *uncoded : *cr;
-    const auto result = model->coverage_profile(impostor);
-    EXPECT_FALSE(result.profile.has_value()) << name;
-    EXPECT_NE(result.reason.find("is not the built-in"), std::string::npos)
-        << name << ": " << result.reason;
+/// An out-of-tree scheme that reports `name` as its registry name while
+/// forwarding everything else to a built-in instance.
+class Impostor final : public coupon::core::Scheme {
+ public:
+  Impostor(std::string_view name, const coupon::core::Scheme& inner)
+      : Scheme(inner.placement()), name_(name), inner_(inner) {}
+  std::string_view registry_name() const override { return name_; }
+  std::string_view name() const override { return "impostor"; }
+  void encode_into(std::size_t worker,
+                   const coupon::core::UnitGradientSource& source,
+                   std::span<const double> w,
+                   coupon::comm::Message& out) const override {
+    inner_.encode_into(worker, source, w, out);
   }
+  double message_units(std::size_t worker) const override {
+    return inner_.message_units(worker);
+  }
+  std::vector<std::int64_t> message_meta(std::size_t worker) const override {
+    return inner_.message_meta(worker);
+  }
+  std::unique_ptr<coupon::core::Collector> make_collector() const override {
+    return inner_.make_collector();
+  }
+  std::optional<double> expected_recovery_threshold() const override {
+    return std::nullopt;
+  }
+
+ private:
+  std::string_view name_;
+  const coupon::core::Scheme& inner_;
+};
+
+TEST(AnalyticSchemeModel, WrongConcreteTypeIsDeclinedByEveryModel) {
+  // coverage_profile dynamic_casts to the built-in implementation behind
+  // each modeled name; an out-of-tree scheme squatting on that name must
+  // get a reason, not a bogus profile.
+  const auto uncoded = make_scheme("uncoded", 6, 6, 2, 3);
+  for (const auto& modeled : coupon::analytic::kModeledSchemes) {
+    const Impostor impostor(modeled.name, *uncoded);
+    const auto result = coupon::analytic::coverage_profile(impostor);
+    EXPECT_FALSE(result.profile.has_value()) << modeled.name;
+    EXPECT_NE(result.reason.find("is not the built-in"), std::string::npos)
+        << modeled.name << ": " << result.reason;
+  }
+  // A name outside the table has no reduction at all.
+  const Impostor stranger("stranger", *uncoded);
+  const auto result = coupon::analytic::coverage_profile(stranger);
+  EXPECT_FALSE(result.profile.has_value());
+  EXPECT_EQ(result.reason,
+            "no analytic model registered for scheme 'stranger'");
 }
 
 TEST(AnalyticSchemeModel, UnequalLoadsAreDeclinedWithTheSizes) {
   // uncoded with n not dividing m leaves some workers one unit heavier:
   // compute times are no longer iid and the reduction must refuse.
   const auto scheme = make_scheme("uncoded", 5, 7, 1, 3);
-  const auto* model =
-      coupon::analytic::AnalyticModelRegistry::instance().find("uncoded");
-  ASSERT_NE(model, nullptr);
-  const auto result = model->coverage_profile(*scheme);
+  const auto result = coupon::analytic::coverage_profile(*scheme);
   EXPECT_FALSE(result.profile.has_value());
   EXPECT_NE(result.reason.find("unequal per-worker loads"), std::string::npos)
       << result.reason;
@@ -564,10 +597,7 @@ TEST(AnalyticSchemeModel, UnequalLoadsAreDeclinedWithTheSizes) {
   // BCC with r not dividing m gets unequal batch sizes (50 = 2*20 + 10),
   // so realized worker loads differ too — the bench tables render "-".
   const auto bcc = make_scheme("bcc", 50, 50, 20, 3);
-  const auto* bcc_model =
-      coupon::analytic::AnalyticModelRegistry::instance().find("bcc");
-  ASSERT_NE(bcc_model, nullptr);
-  const auto bcc_result = bcc_model->coverage_profile(*bcc);
+  const auto bcc_result = coupon::analytic::coverage_profile(*bcc);
   EXPECT_FALSE(bcc_result.profile.has_value());
   EXPECT_NE(bcc_result.reason.find("unequal per-worker loads"),
             std::string::npos)
@@ -594,21 +624,6 @@ TEST(AnalyticOracle, PerWorkerLoadsAreDeclinedWithAReason) {
     EXPECT_NE(reason.find("unequal per-worker loads"), std::string::npos)
         << scheme->registry_name() << ": " << reason;
   }
-}
-
-TEST(AnalyticSchemeModel, RegistryRejectsNullAndDuplicateModels) {
-  auto& registry = coupon::analytic::AnalyticModelRegistry::instance();
-  EXPECT_THROW(registry.add(nullptr), std::invalid_argument);
-  class Dup final : public coupon::analytic::SchemeRuntimeModel {
-   public:
-    std::string_view scheme_name() const override { return "uncoded"; }
-    std::string_view description() const override { return "dup"; }
-    coupon::analytic::SchemeModelResult coverage_profile(
-        const coupon::core::Scheme&) const override {
-      return {};
-    }
-  };
-  EXPECT_THROW(registry.add(std::make_unique<Dup>()), std::invalid_argument);
 }
 
 // --- extreme drop rates ----------------------------------------------------
@@ -643,14 +658,16 @@ TEST(AnalyticPredictor, ExtremeDropRatesStayExact) {
 }
 
 TEST(AnalyticOracle, RegistryCoversEveryBuiltInScheme) {
-  auto& registry = coupon::analytic::AnalyticModelRegistry::instance();
-  for (const std::string& name :
-       coupon::core::SchemeRegistry::instance().names()) {
-    const auto* model = registry.find(name);
-    ASSERT_NE(model, nullptr) << name;
-    EXPECT_EQ(model->scheme_name(), name);
-    EXPECT_FALSE(model->description().empty());
+  // kModeledSchemes lists every built-in scheme, in registry order.
+  const auto names = coupon::core::SchemeRegistry::instance().names();
+  ASSERT_EQ(names.size(), coupon::analytic::kModeledSchemes.size());
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    const auto& modeled = coupon::analytic::kModeledSchemes[i];
+    EXPECT_EQ(modeled.name, names[i]);
+    EXPECT_FALSE(modeled.description.empty()) << names[i];
+    EXPECT_TRUE(coupon::analytic::is_modeled_scheme(names[i]));
   }
+  EXPECT_FALSE(coupon::analytic::is_modeled_scheme("bcc "));
 }
 
 // --- the auto-tuner -------------------------------------------------------
@@ -691,38 +708,21 @@ TEST(AnalyticPredictor, RankingMatchesMeasuredOrderOnScenarioOne) {
 }
 
 TEST(AnalyticPredictor, RankDeduplicatesAndReportsUnsupported) {
-  coupon::simulate::ClusterConfig cluster;
-  const coupon::analytic::Predictor predictor(
-      cluster, [](const coupon::analytic::CandidateSpec& spec,
-                  std::string* reason) -> std::unique_ptr<coupon::core::Scheme> {
-        coupon::core::SchemeConfig config;
-        config.num_workers = 12;
-        config.num_units = 12;
-        config.load = spec.load;
-        coupon::stats::Rng rng(3);
-        try {
-          return coupon::core::SchemeRegistry::instance().create(spec.scheme,
-                                                                 config, rng);
-        } catch (const std::exception& error) {
-          if (reason != nullptr) {
-            *reason = error.what();
-          }
-          return nullptr;
-        }
-      });
+  coupon::driver::ExperimentConfig config;
+  config.num_workers = 12;
+  config.num_units = 12;
+  config.seed = 3;
   // uncoded ignores the requested r (its realized load is m/n), so the
   // two candidates collapse to one row; fr at r = 5 (5 does not divide
   // 12) is structurally invalid and must surface a reason.
-  std::vector<coupon::analytic::UnsupportedCandidate> unsupported;
-  const auto ranked = predictor.rank({{"uncoded", 2},
-                                      {"uncoded", 3},
-                                      {"fr", 5}},
-                                     {}, 0, &unsupported);
-  ASSERT_EQ(ranked.size(), 1u);
-  EXPECT_EQ(ranked[0].scheme, "uncoded");
-  ASSERT_EQ(unsupported.size(), 1u);
-  EXPECT_EQ(unsupported[0].spec.scheme, "fr");
-  EXPECT_FALSE(unsupported[0].reason.empty());
+  const auto report = coupon::driver::predict_report(
+      config, {{"uncoded", 2}, {"uncoded", 3}, {"fr", 5}});
+  ASSERT_EQ(report.ranked.size(), 1u);
+  EXPECT_EQ(report.ranked[0].scheme, "uncoded");
+  EXPECT_TRUE(report.ranked[0].has_quantiles);
+  ASSERT_EQ(report.unsupported.size(), 1u);
+  EXPECT_EQ(report.unsupported[0].spec.scheme, "fr");
+  EXPECT_FALSE(report.unsupported[0].reason.empty());
 }
 
 // --- the driver bridge (--predict / --scheme auto) ------------------------

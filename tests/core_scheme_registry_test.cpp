@@ -1,13 +1,14 @@
-// Tests for the open scheme registry: built-in coverage, alias lookup,
-// duplicate rejection, unknown-name diagnostics, and the single-call
-// extension contract.
+// Tests for the fixed scheme table: built-in coverage, alias lookup,
+// distinct spellings, and unknown-name diagnostics.
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/scheme_registry.hpp"
-#include "core/uncoded.hpp"
 #include "stats/rng.hpp"
 
 namespace coupon::core {
@@ -23,13 +24,10 @@ SchemeConfig small_config(std::size_t n = 8, std::size_t m = 8,
 }
 
 TEST(SchemeRegistry, BuiltinsRegisteredInPresentationOrder) {
-  const auto names = SchemeRegistry::instance().names();
-  const std::vector<std::string> expected = {"uncoded", "fr", "cr", "bcc",
-                                             "simple_random"};
-  ASSERT_GE(names.size(), expected.size());
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(names[i], expected[i]);
-  }
+  const std::vector<std::string> expected = {
+      "uncoded",   "fr",  "cr",       "bcc", "simple_random",
+      "gc_cyclic", "sgc", "gc_nested"};
+  EXPECT_EQ(SchemeRegistry::instance().names(), expected);
   EXPECT_EQ(SchemeRegistry::instance().choices().substr(0, 13), "uncoded|fr|cr");
 }
 
@@ -81,30 +79,21 @@ TEST(SchemeRegistry, UnknownNameDiagnosticSuggestsNearestScheme) {
   EXPECT_EQ(far.find("did you mean"), std::string::npos) << far;
 }
 
-TEST(SchemeRegistry, DuplicateNamesAndAliasesRejected) {
-  auto& registry = SchemeRegistry::instance();
-  SchemeEntry entry;
-  entry.factory = [](const SchemeConfig& c, stats::Rng&) {
-    return std::make_unique<UncodedScheme>(c.num_workers, c.num_units);
-  };
-
-  entry.name = "bcc";  // canonical-name collision
-  EXPECT_THROW(registry.add(entry), std::invalid_argument);
-
-  entry.name = "srs";  // collides with an existing alias
-  EXPECT_THROW(registry.add(entry), std::invalid_argument);
-
-  entry.name = "fresh_name";
-  entry.aliases = {"uncoded"};  // alias collides with a canonical name
-  EXPECT_THROW(registry.add(entry), std::invalid_argument);
-
-  entry.aliases = {};
-  entry.name = "";  // unnamed
-  EXPECT_THROW(registry.add(entry), std::invalid_argument);
-
-  entry.name = "fresh_name";
-  entry.factory = nullptr;  // no factory
-  EXPECT_THROW(registry.add(entry), std::invalid_argument);
+TEST(SchemeRegistry, NamesAndAliasesArePairwiseDistinct) {
+  // Every spelling resolves to exactly one entry: its own.
+  const auto& registry = SchemeRegistry::instance();
+  std::set<std::string> seen;
+  for (const auto& name : registry.names()) {
+    const SchemeEntry* entry = registry.find(name);
+    ASSERT_NE(entry, nullptr) << name;
+    EXPECT_TRUE(entry->factory) << name;
+    EXPECT_TRUE(seen.insert(entry->name).second) << entry->name;
+    for (const auto& alias : entry->aliases) {
+      EXPECT_TRUE(seen.insert(alias).second) << alias;
+      EXPECT_EQ(registry.find(alias), entry) << alias;
+    }
+  }
+  EXPECT_EQ(seen.count(""), 0u);
 }
 
 TEST(SchemeRegistry, CapabilityFlagsMatchTheSchemes) {
@@ -126,28 +115,6 @@ TEST(SchemeRegistry, CapabilityFlagsMatchTheSchemes) {
               entry->caps.supports_partial_decode)
         << name;
   }
-}
-
-TEST(SchemeRegistry, SingleRegistrationCallAddsARunnableScheme) {
-  // The extension contract: one registration call (no enum/switch/name
-  // table edits) and the scheme is creatable by name like any built-in.
-  auto& registry = SchemeRegistry::instance();
-  if (registry.find("test_uncoded_clone") == nullptr) {
-    SchemeRegistration registration(
-        {.name = "test_uncoded_clone",
-         .aliases = {"test_uc"},
-         .description = "uncoded under a new name (test scheme)",
-         .caps = {.supports_partial_decode = true},
-         .factory = [](const SchemeConfig& c, stats::Rng&) {
-           return std::make_unique<UncodedScheme>(c.num_workers,
-                                                  c.num_units);
-         }});
-  }
-  stats::Rng rng(5);
-  auto scheme = registry.create("test_uc", small_config(4, 6, 1), rng);
-  ASSERT_NE(scheme, nullptr);
-  EXPECT_EQ(scheme->registry_name(), "uncoded");
-  EXPECT_EQ(scheme->num_units(), 6u);
 }
 
 TEST(SchemeRegistry, RegistryNamesRoundTripThroughTheSchemes) {

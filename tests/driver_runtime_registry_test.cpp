@@ -1,10 +1,11 @@
-// Tests for the open runtime registry: built-in coverage, alias lookup,
-// capability flags, duplicate rejection, unknown-name diagnostics, and
-// the single-call extension contract.
+// Tests for the fixed runtime table: built-in coverage, alias lookup,
+// capability flags, distinct spellings, and unknown-name diagnostics.
 
 #include <gtest/gtest.h>
 
-#include <stdexcept>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "driver/runtime_registry.hpp"
 
@@ -12,14 +13,9 @@ namespace coupon::driver {
 namespace {
 
 TEST(RuntimeRegistry, BuiltinsRegisteredInPresentationOrder) {
-  const auto names = RuntimeRegistry::instance().names();
   const std::vector<std::string> expected = {"sim", "threaded", "process"};
-  ASSERT_GE(names.size(), expected.size());
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(names[i], expected[i]);
-  }
-  EXPECT_EQ(RuntimeRegistry::instance().choices().substr(0, 12),
-            "sim|threaded");
+  EXPECT_EQ(RuntimeRegistry::instance().names(), expected);
+  EXPECT_EQ(RuntimeRegistry::instance().choices(), "sim|threaded|process");
 }
 
 TEST(RuntimeRegistry, EveryBuiltinIsConstructibleAndSelfNamed) {
@@ -80,47 +76,21 @@ TEST(RuntimeRegistry, CapabilityFlagsMatchTheRuntimes) {
   EXPECT_TRUE(process.spawns_processes);
 }
 
-TEST(RuntimeRegistry, DuplicateNamesAndAliasesRejected) {
-  auto& registry = RuntimeRegistry::instance();
-  RuntimeEntry entry;
-  entry.factory = [] { return std::make_unique<SimulatedRuntime>(); };
-
-  entry.name = "sim";  // canonical-name collision
-  EXPECT_THROW(registry.add(entry), std::invalid_argument);
-
-  entry.name = "threads";  // collides with an existing alias
-  EXPECT_THROW(registry.add(entry), std::invalid_argument);
-
-  entry.name = "fresh_runtime";
-  entry.aliases = {"process"};  // alias collides with a canonical name
-  EXPECT_THROW(registry.add(entry), std::invalid_argument);
-
-  entry.aliases = {};
-  entry.name = "";  // unnamed
-  EXPECT_THROW(registry.add(entry), std::invalid_argument);
-
-  entry.name = "fresh_runtime";
-  entry.factory = nullptr;  // no factory
-  EXPECT_THROW(registry.add(entry), std::invalid_argument);
-}
-
-TEST(RuntimeRegistry, SingleRegistrationCallAddsASelectableRuntime) {
-  // The extension contract: one registration call (no if/else ladder or
-  // name-table edits) and the runtime is selectable by name or alias
-  // like any built-in, including through make_runtime.
-  auto& registry = RuntimeRegistry::instance();
-  if (registry.find("test_sim_clone") == nullptr) {
-    RuntimeRegistration registration(
-        {.name = "test_sim_clone",
-         .aliases = {"test_sc"},
-         .description = "the simulator under a new name (test runtime)",
-         .caps = {.simulated_clock = true},
-         .factory = [] { return std::make_unique<SimulatedRuntime>(); }});
+TEST(RuntimeRegistry, NamesAndAliasesArePairwiseDistinct) {
+  // Every spelling resolves to exactly one entry: its own.
+  const auto& registry = RuntimeRegistry::instance();
+  std::set<std::string> seen;
+  for (const auto& name : registry.names()) {
+    const RuntimeEntry* entry = registry.find(name);
+    ASSERT_NE(entry, nullptr) << name;
+    EXPECT_TRUE(entry->factory) << name;
+    EXPECT_TRUE(seen.insert(entry->name).second) << entry->name;
+    for (const auto& alias : entry->aliases) {
+      EXPECT_TRUE(seen.insert(alias).second) << alias;
+      EXPECT_EQ(registry.find(alias), entry) << alias;
+    }
   }
-  auto runtime = registry.create("test_sc");
-  ASSERT_NE(runtime, nullptr);
-  EXPECT_EQ(runtime->name(), "sim");
-  ASSERT_NE(make_runtime("test_sim_clone"), nullptr);
+  EXPECT_EQ(seen.count(""), 0u);
 }
 
 }  // namespace

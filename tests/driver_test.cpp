@@ -282,7 +282,7 @@ TEST(RuntimeFactory, SpellingsAndNames) {
   EXPECT_EQ(driver::make_runtime("processes")->name(), "process");
   EXPECT_EQ(driver::make_runtime("proc")->name(), "process");
   EXPECT_EQ(driver::make_runtime("mpi"), nullptr);
-  EXPECT_EQ(driver::runtime_names().size(), 3u);
+  EXPECT_EQ(driver::RuntimeRegistry::instance().names().size(), 3u);
   const std::string choices = driver::RuntimeRegistry::instance().choices();
   EXPECT_NE(choices.find("sim"), std::string::npos);
   EXPECT_NE(choices.find("process"), std::string::npos);

@@ -107,7 +107,9 @@ TEST(Integration, SimulatorKMatchesRuntimeKForDeterministicSchemes) {
 
     simulate::ClusterConfig cluster_config;
     const auto sim_report =
-        simulate::simulate_iteration(*scheme, cluster_config, srng);
+        simulate::simulate_run(*scheme, cluster_config,
+                               {.iterations = 1, .record_trace = true}, srng)
+            .iterations[0];
     EXPECT_DOUBLE_EQ(static_cast<double>(sim_report.workers_heard),
                      expected_k);
 

@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <cctype>
+#include <functional>
 #include <future>
 #include <optional>
 #include <thread>
@@ -476,10 +477,15 @@ class InjectingProvider final : public engine::IterationProvider {
   comm::Message frame_;
 };
 
-TEST(TransportProviderFrames, WrongTagLosesTheWorkerAndBccRecoversWithout) {
+/// Trains 8-worker bcc while the victim's stream carries a frame at
+/// iteration 2, ahead of every reply: a gradient frame shaped like the
+/// victim's own (its meta, kFeatures doubles) that `corrupt` then breaks.
+/// The victim shares its batch with another worker, so bcc still covers
+/// every unit once the victim is lost: the run must not throw, must lose
+/// exactly the victim and must match serial training.
+void expect_sender_lost_and_bcc_recovers(
+    const std::function<void(comm::Message&)>& corrupt) {
   const auto setup = make_setup("bcc");
-  // The victim shares its batch with another worker, so bcc still covers
-  // every unit once the victim is gone.
   const auto& placement = setup.scheme->placement();
   std::optional<std::size_t> victim;
   for (std::size_t i = 0; i < kWorkers && !victim; ++i) {
@@ -504,15 +510,16 @@ TEST(TransportProviderFrames, WrongTagLosesTheWorkerAndBccRecoversWithout) {
     });
   }
 
-  // In iteration 2 the victim's stream carries a broadcast-tagged frame.
   comm::Message bogus;
   bogus.source = static_cast<std::int32_t>(*victim + 1);
   bogus.dest = 0;
-  bogus.tag = comm::kTagModelBroadcast;
+  bogus.tag = comm::kTagGradient;
   bogus.iteration = 2;
+  bogus.meta = setup.scheme->message_meta(*victim);
   bogus.payload.assign(kFeatures, 0.0);
+  corrupt(bogus);
   comm::InProcessTransport master(network, 0);
-  TransportProvider provider(master, kWorkers, {});
+  TransportProvider provider(master, *setup.scheme, kFeatures, {});
   InjectingProvider injecting(provider, network, 2, std::move(bogus));
   engine::TrainingEngine engine(*setup.scheme, *setup.source, injecting);
   opt::NesterovGradient opt(kFeatures,
@@ -539,6 +546,35 @@ TEST(TransportProviderFrames, WrongTagLosesTheWorkerAndBccRecoversWithout) {
   EXPECT_LT(linalg::max_abs_diff(report.weights, expected), 1e-7);
 }
 
+TEST(TransportProviderFrames, WrongTagLosesTheWorkerAndBccRecoversWithout) {
+  expect_sender_lost_and_bcc_recovers(
+      [](comm::Message& frame) { frame.tag = comm::kTagModelBroadcast; });
+}
+
+TEST(TransportProviderFrames,
+     MalformedGradientLosesTheWorkerAndBccRecoversWithout) {
+  // Gradient-tagged frames the scheme never sends: offered to the
+  // collector, each would trip one of its asserts.
+  {
+    SCOPED_TRACE("meta {999}: a batch that does not exist");
+    expect_sender_lost_and_bcc_recovers(
+        [](comm::Message& frame) { frame.meta = {999}; });
+  }
+  {
+    SCOPED_TRACE("empty meta");
+    expect_sender_lost_and_bcc_recovers(
+        [](comm::Message& frame) { frame.meta.clear(); });
+  }
+  {
+    SCOPED_TRACE("payload of kFeatures + 1 doubles");
+    expect_sender_lost_and_bcc_recovers([](comm::Message& frame) {
+      frame.payload.assign(kFeatures + 1, 0.0);
+    });
+  }
+}
+
+/// A one-coordinate uncoded reply: meta {rank - 1}, as worker rank - 1
+/// of a 2-worker uncoded scheme sends it.
 comm::Message gradient_frame(std::int32_t source, std::int64_t iteration,
                              double value) {
   comm::Message m;
@@ -546,6 +582,7 @@ comm::Message gradient_frame(std::int32_t source, std::int64_t iteration,
   m.dest = 0;
   m.tag = comm::kTagGradient;
   m.iteration = iteration;
+  m.meta = {source - 1};
   m.payload = {value};
   return m;
 }
@@ -559,8 +596,9 @@ TEST(TransportProviderFrames, SpoofedSourceLosesTheStreamItArrivedOn) {
   ASSERT_TRUE(comm::make_stream_socketpair(a));
   ASSERT_TRUE(comm::make_stream_socketpair(b));
   auto master = comm::TcpTransport::master({a[0], b[0]});
+  const core::UncodedScheme scheme(2, 2);
   TransportProvider provider(
-      *master, 2,
+      *master, scheme, /*dim=*/1,
       {.worker_timeout = std::chrono::milliseconds(200), .elasticity = {}});
   const std::vector<double> w = {1.0, 2.0};
   engine::ArrivalView arrival;

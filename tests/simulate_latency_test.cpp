@@ -368,7 +368,7 @@ TEST(SimulateIteration, NonFiniteModelDrawsAreRejected) {
   cluster.latency_model = [](std::size_t) {
     return std::make_unique<InfiniteModel>();
   };
-  EXPECT_THROW(simulate_iteration(*scheme, cluster, rng),
+  EXPECT_THROW(simulate_run(*scheme, cluster, traced(1), rng),
                coupon::AssertionError);
 }
 
@@ -450,8 +450,6 @@ TEST(ValidateClusterConfig, SimulatorRejectsBadConfigsBeforeSampling) {
   auto scheme = core::SchemeRegistry::instance().create("uncoded", config, rng);
   auto cluster = valid_cluster();
   cluster.drop_probability = 2.0;
-  EXPECT_THROW(simulate_iteration(*scheme, cluster, rng),
-               coupon::AssertionError);
   EXPECT_THROW(simulate_run(*scheme, cluster, traced(3), rng),
                coupon::AssertionError);
 }

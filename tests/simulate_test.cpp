@@ -32,12 +32,20 @@ ClusterConfig test_cluster() {
   return c;
 }
 
+/// One traced iteration of `simulate_run`.
+IterationReport one_iteration(const core::Scheme& scheme,
+                              const ClusterConfig& cluster, stats::Rng& rng) {
+  return simulate_run(scheme, cluster,
+                      {.iterations = 1, .record_trace = true}, rng)
+      .iterations[0];
+}
+
 TEST(SimulateIteration, UncodedAlwaysHearsEveryWorker) {
   stats::Rng rng(1);
   core::SchemeConfig config{10, 10, 1, false};
   auto scheme = core::SchemeRegistry::instance().create("uncoded", config, rng);
   for (int trial = 0; trial < 10; ++trial) {
-    const auto report = simulate_iteration(*scheme, test_cluster(), rng);
+    const auto report = one_iteration(*scheme, test_cluster(), rng);
     EXPECT_TRUE(report.recovered);
     EXPECT_EQ(report.workers_heard, 10u);
     EXPECT_DOUBLE_EQ(report.units_received, 10.0);
@@ -50,7 +58,7 @@ TEST(SimulateIteration, CyclicRepetitionHearsExactlyNMinusS) {
   auto scheme =
       core::SchemeRegistry::instance().create("cr", config, rng);
   for (int trial = 0; trial < 10; ++trial) {
-    const auto report = simulate_iteration(*scheme, test_cluster(), rng);
+    const auto report = one_iteration(*scheme, test_cluster(), rng);
     EXPECT_TRUE(report.recovered);
     EXPECT_EQ(report.workers_heard, 7u);  // n - r + 1
   }
@@ -61,7 +69,7 @@ TEST(SimulateIteration, BccHearsAtLeastBatchCount) {
   core::SchemeConfig config{50, 20, 4, false};  // B = 5
   auto scheme = core::SchemeRegistry::instance().create("bcc", config, rng);
   for (int trial = 0; trial < 10; ++trial) {
-    const auto report = simulate_iteration(*scheme, test_cluster(), rng);
+    const auto report = one_iteration(*scheme, test_cluster(), rng);
     if (report.recovered) {
       EXPECT_GE(report.workers_heard, 5u);
       EXPECT_LE(report.workers_heard, 50u);
@@ -74,7 +82,7 @@ TEST(SimulateIteration, TimeDecomposesIntoComputeAndComm) {
   core::SchemeConfig config{8, 8, 2, false};
   auto scheme =
       core::SchemeRegistry::instance().create("cr", config, rng);
-  const auto report = simulate_iteration(*scheme, test_cluster(), rng);
+  const auto report = one_iteration(*scheme, test_cluster(), rng);
   EXPECT_TRUE(report.recovered);
   EXPECT_NEAR(report.total_time, report.compute_time + report.comm_time,
               1e-12);
@@ -92,7 +100,7 @@ TEST(SimulateIteration, SerializedIngressLowerBoundsCommTime) {
   core::SchemeConfig config{12, 12, 1, false};
   auto scheme = core::SchemeRegistry::instance().create("uncoded", config, rng);
   const auto cluster = test_cluster();
-  const auto report = simulate_iteration(*scheme, cluster, rng);
+  const auto report = one_iteration(*scheme, cluster, rng);
   EXPECT_GE(report.total_time,
             static_cast<double>(report.workers_heard) *
                 cluster.unit_transfer_seconds);
@@ -103,8 +111,8 @@ TEST(SimulateIteration, DeterministicGivenSeed) {
   stats::Rng rng_a(42), rng_b(42);
   auto scheme_a = core::SchemeRegistry::instance().create("bcc", config, rng_a);
   auto scheme_b = core::SchemeRegistry::instance().create("bcc", config, rng_b);
-  const auto ra = simulate_iteration(*scheme_a, test_cluster(), rng_a);
-  const auto rb = simulate_iteration(*scheme_b, test_cluster(), rng_b);
+  const auto ra = one_iteration(*scheme_a, test_cluster(), rng_a);
+  const auto rb = one_iteration(*scheme_b, test_cluster(), rng_b);
   EXPECT_DOUBLE_EQ(ra.total_time, rb.total_time);
   EXPECT_EQ(ra.workers_heard, rb.workers_heard);
 }
@@ -186,7 +194,7 @@ TEST(SimulateIteration, DropProbabilityOneFailsEverything) {
   auto scheme = core::SchemeRegistry::instance().create("uncoded", config, rng);
   auto cluster = test_cluster();
   cluster.drop_probability = 1.0;
-  const auto report = simulate_iteration(*scheme, cluster, rng);
+  const auto report = one_iteration(*scheme, cluster, rng);
   EXPECT_FALSE(report.recovered);
   EXPECT_EQ(report.workers_heard, 0u);
 }
@@ -228,7 +236,7 @@ TEST(SimulateIteration, WorkerOverridesControlComputeTimes) {
   auto cluster = test_cluster();
   cluster.worker_overrides = {
       {10.0, 1e6}, {1e-4, 1e6}, {1e-4, 1e6}};  // worker 0: ~10 s floor
-  const auto report = simulate_iteration(*scheme, cluster, rng);
+  const auto report = one_iteration(*scheme, cluster, rng);
   ASSERT_TRUE(report.recovered);
   // Uncoded waits for worker 0, whose deterministic floor dominates.
   EXPECT_GE(report.compute_time, 10.0);
@@ -241,7 +249,7 @@ TEST(SimulateIteration, OverrideSizeMismatchAsserts) {
   auto scheme = core::SchemeRegistry::instance().create("uncoded", config, rng);
   auto cluster = test_cluster();
   cluster.worker_overrides = {{1.0, 1.0}};  // wrong size
-  EXPECT_THROW(simulate_iteration(*scheme, cluster, rng),
+  EXPECT_THROW(one_iteration(*scheme, cluster, rng),
                coupon::AssertionError);
 }
 

@@ -37,8 +37,8 @@
 #include <string>
 #include <vector>
 
+#include "analytic/coverage.hpp"
 #include "analytic/dist.hpp"
-#include "analytic/scheme_model.hpp"
 #include "core/scheme_registry.hpp"
 #include "driver/driver.hpp"
 #include "driver/predict.hpp"
@@ -117,7 +117,7 @@ int list_registries() {
     if (entry->caps.approximate_recovery) {
       tags += " [approx]";
     }
-    if (analytic::AnalyticModelRegistry::instance().find(name) != nullptr) {
+    if (analytic::is_modeled_scheme(name)) {
       tags += " [analytic]";
     }
     std::string aliases;
@@ -174,11 +174,9 @@ int list_registries() {
   std::printf(
       "\nanalytic models (--predict / --scheme auto; [analytic]-tagged "
       "scheme x scenario pairs have exact oracles):\n");
-  const auto& models = analytic::AnalyticModelRegistry::instance();
-  for (const auto& name : models.names()) {
-    const auto* model = models.find(name);
-    std::printf("  %-14s\n      %s\n", name.c_str(),
-                std::string(model->description()).c_str());
+  for (const analytic::ModeledScheme& model : analytic::kModeledSchemes) {
+    std::printf("  %-14s\n      %s\n", std::string(model.name).c_str(),
+                std::string(model.description).c_str());
   }
   return 0;
 }
